@@ -20,6 +20,7 @@ import numpy as np
 from .calculus import BoundaryField, DiscField, DiscGrid, conjugate
 from .errors import (
     AdaptationFailure,
+    ConfigError,
     DiscSolveFailed,
     MaxIterations,
     NegativeGamma,
@@ -325,11 +326,16 @@ def model_family(gamma: float, r_list, grid: DiscGrid | None = None) -> list:
 
 
 def _psi_rhs(chart: AmbientChart, grid: DiscGrid, vals):
-    """T(A(f) dbar(conj f)) for stacked values vals, shape (..., 2, R, n_theta)."""
-    dz_vals = grid.dz_apply(vals)
-    dbar_conj = np.conj(dz_vals)
+    """T(A(f) dbar(conj f)) for stacked values vals, shape (..., 2, R, n_theta).
+
+    Where A vanishes at every point of f (J = J_st there) the term is 0 and
+    no sweep is run.
+    """
     pts = to_real(np.moveaxis(vals, -3, -1))
     A = chart.deformation_at(pts)
+    if not A.any():
+        return 0.0
+    dbar_conj = np.conj(grid.dz_apply(vals))
     q_pt = np.einsum("...ij,...j->...i", A,
                      np.moveaxis(dbar_conj, -3, -1))
     q = np.moveaxis(q_pt, -1, -3)
@@ -343,7 +349,7 @@ def psi_apply_values(chart: AmbientChart, grid: DiscGrid, vals):
 def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals,
                        tol=1e-12, max_iter=100):
     """Fixed point f = h - T(A(f) dbar(conj f)), batched over leading axes."""
-    f = hvals.copy()
+    f = hvals      # never written; each pass makes a new f
     prev = np.inf
     growth = 0
     for _ in range(max_iter):
@@ -363,9 +369,11 @@ def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals,
 def cr_residual_values(chart: AmbientChart, grid: DiscGrid, vals):
     """sup |dbar f + A(f) dbar(conj f)| (the J-holomorphy defect)."""
     dbar_vals = grid.dbar_apply(vals)
-    dbar_conj = np.conj(grid.dz_apply(vals))
     pts = to_real(np.moveaxis(vals, -3, -1))
     A = chart.deformation_at(pts)
+    if not A.any():
+        return float(np.max(np.abs(dbar_vals)))
+    dbar_conj = np.conj(grid.dz_apply(vals))
     q = np.moveaxis(
         np.einsum("...ij,...j->...i", A, np.moveaxis(dbar_conj, -3, -1)),
         -1, -3)
@@ -508,6 +516,20 @@ def _unpack(x, n):
     return flat.reshape(x.shape[:-1] + (2, n))
 
 
+def check_taylor_order(n_taylor: int, n_theta: int, n_rho: int):
+    """Reject Taylor orders that the grid aliases or truncates.
+
+    Mode zeta^k aliases onto k - n_theta unless k < n_theta/2, and the
+    Cauchy-Green matrices drop angular modes above n_rho.
+    """
+    limit = min((n_theta - 1) // 2, n_rho)
+    if n_taylor > limit:
+        raise ConfigError(
+            f"n_taylor = {n_taylor} exceeds {limit}, the largest order a "
+            f"{n_theta}x{n_rho} grid holds (n_taylor < n_theta/2 avoids "
+            f"aliasing, n_taylor <= n_rho radial truncation)")
+
+
 def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
                  pins: PinSet, n_taylor: int = DEFAULT_N_TAYLOR,
                  newton_tol: float = 1e-10, max_iter: int = 25,
@@ -521,6 +543,7 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
     """
     chart = scenario.chart
     grid = init.grid
+    check_taylor_order(n_taylor, grid.n_theta, grid.n_rho)
     n = n_taylor + 1
     zpow = np.stack([grid.zeta ** k for k in range(n)])
 

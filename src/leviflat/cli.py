@@ -231,8 +231,7 @@ def run_scenario(config: RunConfig, quiet=False) -> int:
         report.stage("continue_family_q", "PASS", time.time() - t0)
 
         t0 = time.time()
-        result = continuation.assemble_hypersurface(
-            fam_p, fam_q, tol=config.glue_tol)
+        result = continuation.glue(fam_p, fam_q, tol=config.glue_tol)
         report.stage("glue", "PASS", time.time() - t0)
         report.checks["glue"] = "PASS"
         report.diagnostics["glue_distance"] = result.glue_distance
@@ -467,6 +466,10 @@ def main(argv=None) -> int:
                 raise ConfigError(
                     f"--resolution expects NT,NR integers, got {args.resolution}")
             config.n_theta, config.n_rho = nt, nr
+        if args.command == "run" and config.scenario != "model-quadric":
+            # only the disc solver uses n_taylor; fail before any stage runs
+            bishop.check_taylor_order(int(config.n_taylor),
+                                      int(config.n_theta), int(config.n_rho))
         dispatch = {"run": run_scenario, "leaf": run_leaf, "levi": run_levi}
         return dispatch[args.command](config, quiet=args.quiet)
     except ConfigError as exc:

@@ -426,11 +426,6 @@ def glue(family_p: DiscFamily, family_q: DiscFamily, tol=1e-5) -> FillingResult:
                          junction_t=float(t_star_p), glue_distance=d)
 
 
-def assemble_hypersurface(family_p: DiscFamily, family_q: DiscFamily,
-                          tol=1e-5) -> FillingResult:
-    return glue(family_p, family_q, tol=tol)
-
-
 # --- Levi-flatness certificate ------------------------------------------------------
 
 

@@ -11,10 +11,6 @@ class SingularMatrix(LeviflatError):
     """J_st + J(z) is not invertible at a requested sample."""
 
 
-class NotNormalized(LeviflatError):
-    """Chart coordinates are not normalized to J(p) = J_st at the base point."""
-
-
 class StepTooLarge(LeviflatError):
     """Finite-difference Richardson consistency check failed."""
 

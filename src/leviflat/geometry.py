@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     FieldDomainError,
-    NotNormalized,
     SingularMatrix,
     StepTooLarge,
 )
@@ -155,17 +154,6 @@ class TangentVector:
             raise ValueError("tangent vector entries must be finite")
 
 
-@dataclass
-class DeformationTensor:
-    """Complex matrix field A with u(z) v = A(z) conj(v) encoding J - J_st."""
-
-    A: Callable[[np.ndarray], np.ndarray]
-    base_point: np.ndarray
-
-    def norm_at(self, z):
-        return np.linalg.norm(self.A(z), axis=(-2, -1))
-
-
 def deformation_tensor_values(J_values):
     """Deformation tensor samples from J samples (..., 2n, 2n)."""
     J_values = np.asarray(J_values, dtype=float)
@@ -184,21 +172,6 @@ def deformation_tensor_values(J_values):
         col = np.einsum("...ij,j->...i", U, e)
         A[..., :, k] = to_complex(col)
     return A
-
-
-def deformation_tensor(chart: AmbientChart, p) -> DeformationTensor:
-    """Deformation tensor field of chart.J, normalized to vanish at p."""
-    p = np.asarray(p, dtype=float)
-    Jp = chart.J(p)
-    dev = np.max(np.abs(Jp - standard_j(Jp.shape[-1] // 2)))
-    if dev > 1e-10:
-        raise NotNormalized(
-            f"J(p) deviates from the standard structure by {dev:.3e}")
-
-    def A(z):
-        return deformation_tensor_values(chart.J(z))
-
-    return DeformationTensor(A=A, base_point=p)
 
 
 # --- finite-difference scalar calculus ---------------------------------------

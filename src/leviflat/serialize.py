@@ -12,6 +12,7 @@ import json
 import numpy as np
 
 FLOAT_FMT = "%.17g"
+CSV_BLOCK_ROWS = 1024   # rows formatted per write: bounds the text held at once
 
 
 def _fmt_float(x):
@@ -59,10 +60,15 @@ def write_json(path, obj):
 
 def write_csv(path, header, rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if not np.isfinite(rows).all():
+        bad = rows[~np.isfinite(rows)][0]
+        raise ValueError(f"non-finite value {bad} in serialized output")
+    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_float(x) for x in row) + "\n")
+        for i in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[i:i + CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def disc_to_dict(disc):
@@ -105,12 +111,3 @@ def write_cloud(path, result):
     write_csv(path, ["t", "rho", "theta", "x1", "y1", "x2", "y2"],
               result.cloud())
 
-
-def write_boundary_cloud(path, result):
-    write_csv(path, ["t", "rho", "theta", "x1", "y1", "x2", "y2"],
-              result.boundary_cloud())
-
-
-def write_leaf(path, leaf):
-    rows = np.column_stack([leaf.t, leaf.u, leaf.v, leaf.points])
-    write_csv(path, ["t", "u", "v", "x1", "y1", "x2", "y2"], rows)

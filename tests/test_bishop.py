@@ -9,6 +9,7 @@ from leviflat import geometry as G
 from leviflat.calculus import DiscField, DiscGrid
 from leviflat.errors import (
     AdaptationFailure,
+    ConfigError,
     NegativeGamma,
     NoContraction,
     TheodorsenDiverged,
@@ -217,6 +218,89 @@ class TestPsiOperator:
             assert np.max(np.abs(batch[k] - single)) < 1e-12
 
 
+def full_psi_rhs(chart, grid, vals):
+    """The Psi sweep with no shortcut, as a reference for the fast path."""
+    dbar_conj = np.conj(grid.dz_apply(vals))
+    A = chart.deformation_at(G.to_real(np.moveaxis(vals, -3, -1)))
+    q = np.einsum("...ij,...j->...i", A, np.moveaxis(dbar_conj, -3, -1))
+    return grid.cg_apply(np.moveaxis(q, -1, -3))
+
+
+def full_cr_residual(chart, grid, vals):
+    dbar_conj = np.conj(grid.dz_apply(vals))
+    A = chart.deformation_at(G.to_real(np.moveaxis(vals, -3, -1)))
+    q = np.einsum("...ij,...j->...i", A, np.moveaxis(dbar_conj, -3, -1))
+    return float(np.max(np.abs(grid.dbar_apply(vals)
+                               + np.moveaxis(q, -1, -3))))
+
+
+class TestZeroDeformationFastPath:
+    """Where A = 0 Psi is skipped; the results match the full sweep exactly."""
+
+    def h_vals(self, grid):
+        return np.stack([DiscField.from_taylor(grid, [0.1, 0.5, 0.2j]).values,
+                         DiscField.from_taylor(grid, [0.3, 0.05]).values])
+
+    def test_psi_skips_the_sweep(self, grid, monkeypatch):
+        chart = make_scenario("ball").chart
+        h = self.h_vals(grid)
+
+        def forbidden(self, values):
+            raise AssertionError("Psi sweep where A = 0")
+
+        monkeypatch.setattr(DiscGrid, "dz_apply", forbidden)
+        monkeypatch.setattr(DiscGrid, "cg_apply", forbidden)
+        f = B.psi_inverse_values(chart, grid, h)
+        assert f is not h and np.array_equal(f, h)
+        g = B.psi_apply_values(chart, grid, h)
+        assert g is not h and np.array_equal(g, h)
+        f = np.stack([np.conj(grid.zeta), h[1]])
+        assert B.cr_residual_values(chart, grid, f) \
+            == float(np.max(np.abs(grid.dbar_apply(f))))
+
+    @pytest.mark.parametrize("name", ["ball", "weak-m2", "model-quadric"])
+    def test_matches_full_sweep(self, grid, name):
+        chart = make_scenario(name).chart
+        h = self.h_vals(grid)
+        assert np.array_equal(B.psi_apply_values(chart, grid, h),
+                              h + full_psi_rhs(chart, grid, h))
+        assert np.array_equal(B.psi_inverse_values(chart, grid, h),
+                              h - full_psi_rhs(chart, grid, h))
+        # cr_residual keeps measuring sup |dbar f|: nonzero for f = conj zeta
+        f = np.stack([np.conj(grid.zeta), h[1]])
+        for vals in (h, f):
+            assert B.cr_residual_values(chart, grid, vals) \
+                == full_cr_residual(chart, grid, vals)
+        assert B.cr_residual_values(chart, grid, f) > 0.4
+
+    def test_perturbed_chart_keeps_the_sweep(self, grid):
+        chart = make_scenario("perturbed-ball").chart
+        h = self.h_vals(grid)
+        assert np.array_equal(B.psi_apply_values(chart, grid, h),
+                              h + full_psi_rhs(chart, grid, h))
+        assert B.cr_residual_values(chart, grid, h) \
+            == full_cr_residual(chart, grid, h)
+
+    def test_family_unchanged(self, monkeypatch):
+        sc = make_scenario("ball")
+        leaves = C.reference_leaves(sc)
+        grid = DiscGrid(32, 16)
+
+        def family():
+            return C.continue_family(sc, leaves, 0.30, 0.36, grid=grid,
+                                     n_taylor=12)
+
+        fast = family()
+        monkeypatch.setattr(B, "_psi_rhs", full_psi_rhs)
+        monkeypatch.setattr(B, "cr_residual_values", full_cr_residual)
+        slow = family()
+        assert np.array_equal(fast.t_values, slow.t_values)
+        for a, b in zip(fast.discs, slow.discs):
+            assert a.diagnostics == b.diagnostics
+            for ca, cb in zip(a.h_coeffs, b.h_coeffs):
+                assert np.array_equal(ca, cb)
+
+
 class TestProbeDisc:
     def test_center_conditions(self):
         sc = make_scenario("perturbed-ball")
@@ -262,3 +346,20 @@ class TestBishopSolve:
                               C._initial_guess(sc, leaves, t, grid, 24), pins)
         f_at_one = disc.boundary_at(np.array([0.0]))[0]
         assert np.linalg.norm(f_at_one - pins.point) < 1e-9
+
+    @pytest.mark.parametrize("resolution,limit", [((32, 16), 15),
+                                                  ((64, 16), 16)])
+    def test_taylor_order_limit(self, resolution, limit):
+        sc = make_scenario("ball")
+        leaves = C.reference_leaves(sc)
+        grid = DiscGrid(*resolution)
+        t = 0.3
+        with pytest.raises(ConfigError, match=f"exceeds {limit}"):
+            B.bishop_solve(sc, sc.surface,
+                           C._initial_guess(sc, leaves, t, grid, 24),
+                           C.make_pinset(sc, leaves, t), n_taylor=24)
+
+    @pytest.mark.parametrize("n_taylor,n_theta,n_rho", [(12, 32, 16),
+                                                        (24, 64, 32)])
+    def test_taylor_order_accepted(self, n_taylor, n_theta, n_rho):
+        B.check_taylor_order(n_taylor, n_theta, n_rho)

@@ -89,6 +89,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             cli.load_config(write_config(tmp_path, scenario="ball", n_rho=4))
 
+    def test_taylor_order_left_to_run(self, tmp_path):
+        # leaf and levi never use n_taylor, so loading does not check it
+        cfg = cli.load_config(write_config(
+            tmp_path, scenario="ball", n_theta=32, n_rho=16))
+        assert (cfg.n_theta, cfg.n_rho, cfg.n_taylor) == (32, 16, 24)
+
 
 class TestMain:
     def test_check_passes(self, capsys):
@@ -137,6 +143,31 @@ class TestMain:
         cfg = write_config(tmp_path, scenario="model-quadric")
         code = cli.main(["--resolution", "64x32", "--quiet", "run", cfg])
         assert code == 2
+
+    @pytest.mark.parametrize("n_theta,n_rho,flag,limit", [
+        (32, 16, None, 15), (64, 16, None, 16),
+        (64, 32, "32,16", 15), (64, 32, "64,16", 16)])
+    def test_run_taylor_limit(self, tmp_path, capsys, n_theta, n_rho, flag,
+                              limit):
+        cfg = write_config(tmp_path, scenario="ball", n_theta=n_theta,
+                           n_rho=n_rho, n_taylor=24)
+        out_dir = tmp_path / "out"
+        argv = ["--out", str(out_dir), "--quiet", "run", cfg]
+        if flag:
+            argv[:0] = ["--resolution", flag]
+        assert cli.main(argv) == 2
+        assert f"exceeds {limit}" in capsys.readouterr().err
+        assert (out_dir / "FAILED").exists()
+
+    @pytest.mark.parametrize("command,scenario", [
+        ("leaf", "ball"), ("run", "model-quadric")])
+    def test_taylor_order_unused_elsewhere(self, tmp_path, command, scenario):
+        # 24 Taylor terms exceed a 32x16 grid, but these never use them
+        cfg = write_config(tmp_path, scenario=scenario)
+        out_dir = tmp_path / "out"
+        assert cli.main(["--out", str(out_dir), "--resolution", "32,16",
+                         "--quiet", command, cfg]) == 0
+        assert not (out_dir / "FAILED").exists()
 
     def test_leaf_command(self, tmp_path):
         cfg = write_config(tmp_path, scenario="ball")

@@ -8,7 +8,6 @@ from leviflat import geometry as G
 from leviflat.calculus import DiscField, DiscGrid
 from leviflat.errors import (
     FieldDomainError,
-    NotNormalized,
     SingularMatrix,
 )
 
@@ -61,17 +60,6 @@ class TestStructures:
         lhs = G.to_complex((U @ v)[None, :])[0]
         rhs = A @ np.conj(G.to_complex(v[None, :])[0])
         assert np.allclose(lhs, rhs)
-
-    def test_deformation_tensor_normalization_guard(self):
-        chart = perturbed_chart()
-
-        # J(p) differs from the standard structure away from the poles
-        with pytest.raises(NotNormalized):
-            G.deformation_tensor(chart, np.array([0.0, 0.0, 0.3, 0.0]))
-
-        # at the pole the perturbation vanishes and normalization holds
-        dt = G.deformation_tensor(chart, np.array([0.0, 0.0, 1.0, 0.0]))
-        assert dt.norm_at(np.array([0.0, 0.0, 1.0, 0.0])) < 1e-12
 
     def test_singular_matrix_guard(self):
         # J = -J_st makes J_st + J singular

@@ -26,6 +26,18 @@ class TestCatalog:
         assert rep["j_square_error"] < 1e-10
         assert rep["taming_min"] > 0
 
+    @pytest.mark.parametrize("name,flat", [
+        ("ball", True), ("weak-m2", True), ("model-quadric", True),
+        ("perturbed-ball", False)])
+    def test_zero_deformation(self, name, flat):
+        # A = 0 on every chart of a flat scenario lets the disc solvers skip Psi
+        sc = make_scenario(name)
+        charts = [sc.chart] + [pole.model.chart for pole in sc.poles] \
+            + [B.dilate(pole.model, 0.25).chart for pole in sc.poles]
+        pts = np.random.default_rng(3).uniform(-0.7, 0.7, (64, 4))
+        assert [bool(c.deformation_at(pts).any()) for c in charts] \
+            == [not flat] * len(charts)
+
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             make_scenario("donut")

@@ -55,6 +55,21 @@ class TestFiles:
         assert lines[1] == "0.10000000000000001,1"
         assert len(lines) == 3
 
+    def test_write_csv_matches_per_float_formatting(self, tmp_path):
+        rng = np.random.default_rng(1)
+        rows = np.concatenate([rng.standard_normal((2100, 7)),
+                               [[0.0, -0.0, 1e-300, 1e300, 5e-324, 1.0, 2.0]]])
+        path = tmp_path / "t.csv"
+        S.write_csv(path, list("abcdefg"), rows)
+        expected = "a,b,c,d,e,f,g\n" + "".join(
+            ",".join("%.17g" % x for x in row) + "\n" for row in rows)
+        assert path.read_text() == expected
+
+    def test_write_csv_non_finite_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite value inf"):
+            S.write_csv(tmp_path / "t.csv", ["x", "y"],
+                        [[0.5, 1.0], [2.0, float("inf")]])
+
     def test_write_json(self, tmp_path):
         path = tmp_path / "t.json"
         S.write_json(path, {"v": 0.25})
