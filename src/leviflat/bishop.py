@@ -8,6 +8,9 @@ iteration.  J-holomorphy is enforced through the resolution operator
 Psi: f -> h = f + T(A(f) dbar(conj f)), whose inverse is a contraction for
 small deformation tensors; the Bishop solver runs Gauss-Newton on the Taylor
 coefficients of the holomorphic unknown h with a three-point boundary gauge.
+Its residual goes through Psi^{-1}; its Jacobian is that of the standard
+structure (Psi^{-1} left out), exact where A = 0 and an O(|A|) approximation
+otherwise.
 """
 
 from __future__ import annotations
@@ -530,6 +533,25 @@ def check_taylor_order(n_taylor: int, n_theta: int, n_rho: int):
             f"aliasing, n_taylor <= n_rho radial truncation)")
 
 
+def _residual_rows(surface: SurfacePatch, pins: PinSet, grid: DiscGrid, bdry):
+    """Residual of boundary values bdry (..., 2, T): the defining pair at every
+    boundary sample, then the 4 pin rows of `pins`."""
+    pts = to_real(np.moveaxis(bdry, -2, -1))   # (..., T, 4)
+    rho = surface.rho_pair(pts)                # (..., T, 2)
+    theta_pins = np.array([2 * np.pi / 3, -2 * np.pi / 3])
+    pin_phase = np.exp(1j * np.outer(theta_pins, grid.modes)) / grid.n_theta
+    F = np.fft.fft(bdry, axis=-1)
+    at_pins = np.einsum("pm,...cm->...pc", pin_phase, F)  # (..., 2 pins, 2)
+    p_pts = to_real(at_pins)                   # (..., 2, 4)
+    f1 = pts[..., 0, :]                        # theta = 0 is a grid node
+    g12 = np.einsum("...i,ik->...k", f1 - pins.point, pins.tangent_basis)
+    g3 = pins.member2(p_pts[..., 0, :])
+    g4 = pins.member3(p_pts[..., 1, :])
+    parts = [rho.reshape(rho.shape[:-2] + (-1,)), g12,
+             g3[..., None], g4[..., None]]
+    return np.concatenate(parts, axis=-1)
+
+
 def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
                  pins: PinSet, n_taylor: int = DEFAULT_N_TAYLOR,
                  newton_tol: float = 1e-10, max_iter: int = 25,
@@ -537,15 +559,20 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
     """Solve the Bishop boundary problem rho(Psi^{-1}(h)) = 0 with 4 gauge rows.
 
     Gauss-Newton on the truncated Taylor coefficients of the holomorphic
-    unknown h; residual = the two defining functions at the boundary samples,
-    stacked with the pin rows of `pins`; forward-difference Jacobian with
-    damped (backtracking) steps.
+    unknown h; residual = the two defining functions at the boundary samples
+    of f = Psi^{-1}(h), stacked with the pin rows of `pins`, with damped
+    (backtracking) steps.  The Jacobian is that of the standard structure:
+    forward differences of the rows at the boundary values of h itself,
+    with Psi^{-1} left out.  It is exact where A = 0 and off by O(|A|)
+    otherwise, so Newton then converges linearly at that rate; the residual
+    the steps minimize stays exact, and so does the converged disc.
     """
     chart = scenario.chart
     grid = init.grid
     check_taylor_order(n_taylor, grid.n_theta, grid.n_rho)
     n = n_taylor + 1
     zpow = np.stack([grid.zeta ** k for k in range(n)])
+    zpow_bdry = zpow[:, -1:, :]                    # boundary ring only
 
     coeffs = np.zeros((2, n), dtype=complex)
     for c, init_c in zip(coeffs, init.h_coeffs):
@@ -553,26 +580,15 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
         c[:m] = init_c[:m]
     x = _pack(coeffs)
 
-    theta_pins = np.array([2 * np.pi / 3, -2 * np.pi / 3])
-    pin_phase = np.exp(1j * np.outer(theta_pins, grid.modes)) / grid.n_theta
-    tb = pins.tangent_basis
+    def h_rows(xb):
+        """Rows at the boundary of h itself (the standard-structure map)."""
+        h_bdry = _coeffs_to_vals(_unpack(xb, n), zpow_bdry)[..., -1, :]
+        return _residual_rows(surface, pins, grid, h_bdry)
 
     def residual(xb):
         vals = _coeffs_to_vals(_unpack(xb, n), zpow)
         f = psi_inverse_values(chart, grid, vals)
-        bdry = f[..., -1, :]                       # (..., 2, T) complex
-        pts = to_real(np.moveaxis(bdry, -2, -1))   # (..., T, 4)
-        rho = surface.rho_pair(pts)                # (..., T, 2)
-        F = np.fft.fft(bdry, axis=-1)
-        at_pins = np.einsum("pm,...cm->...pc", pin_phase, F)  # (..., 2 pins, 2)
-        p_pts = to_real(at_pins)                   # (..., 2, 4)
-        f1 = pts[..., 0, :]                        # theta = 0 is a grid node
-        g12 = np.einsum("...i,ik->...k", f1 - pins.point, tb)
-        g3 = pins.member2(p_pts[..., 0, :])
-        g4 = pins.member3(p_pts[..., 1, :])
-        parts = [rho.reshape(rho.shape[:-2] + (-1,)), g12,
-                 g3[..., None], g4[..., None]]
-        return np.concatenate(parts, axis=-1), f
+        return _residual_rows(surface, pins, grid, f[..., -1, :]), f
 
     r0, f0 = residual(x)
     best = float(np.max(np.abs(r0)))
@@ -585,8 +601,7 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
         iters += 1
         steps = fd_step * np.maximum(1.0, np.abs(x))
         batch = x[None, :] + np.diag(steps)
-        rb, _ = residual(batch)
-        J = (rb - r0[None, :]).T / steps[None, :]
+        J = (h_rows(batch) - h_rows(x)[None, :]).T / steps[None, :]
         dx = np.linalg.lstsq(J, -r0, rcond=None)[0]
         for k in range(9):
             xt = x + dx * 0.5 ** k

@@ -1,4 +1,4 @@
-"""Spectral function calculus on the closed unit disc.
+r"""Spectral function calculus on the closed unit disc.
 
 Fields live on a polar tensor grid: equispaced angles (FFT-friendly) times
 Gauss-Legendre radial nodes mapped to (0,1), plus the boundary circle rho = 1

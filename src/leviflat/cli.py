@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bishop, continuation, geometry, serialize
 from .calculus import DiscGrid, DiscField, cauchy_green, dbar
-from .errors import ConfigError, LeviflatError
+from .errors import ConfigError, LeviflatError, StepUnderflow
 from .scenarios import SCENARIO_NAMES, make_scenario
 
 DEFAULTS = {
@@ -76,6 +76,16 @@ class RunReport:
                 "diagnostics": self.diagnostics, "manifest": self.manifest}
 
 
+def _check_grid(n_theta: int, n_rho: int):
+    """Refuse a grid DiscGrid cannot build: n_theta must be a power of two
+    >= 16 (the angular FFT grid), n_rho at least 8."""
+    if n_theta < 16 or (n_theta & (n_theta - 1)) != 0:
+        raise ConfigError(
+            f"n_theta = {n_theta} must be a power of two, >= 16")
+    if n_rho < 8:
+        raise ConfigError(f"n_rho = {n_rho} must be at least 8")
+
+
 def load_config(path) -> RunConfig:
     """Read and validate a JSON run configuration, filling defaults."""
     try:
@@ -116,12 +126,12 @@ def load_config(path) -> RunConfig:
     for key in ("newton_tol", "glue_tol", "grad_cap"):
         if key in raw and not float(raw[key]) > 0:
             raise ConfigError(f"tolerance '{key}' must be positive")
-    for key in ("n_theta", "n_rho", "n_taylor"):
-        if key in raw and int(raw[key]) < 8:
-            raise ConfigError(f"resolution '{key}' must be at least 8")
+    if "n_taylor" in raw and int(raw["n_taylor"]) < 8:
+        raise ConfigError("resolution 'n_taylor' must be at least 8")
 
     cfg = dict(DEFAULTS)
     cfg.update({k: raw[k] for k in raw if k != "scenario"})
+    _check_grid(int(cfg["n_theta"]), int(cfg["n_rho"]))
     return RunConfig(scenario=name, **{
         k: cfg[k] for k in cfg if k in RunConfig.__dataclass_fields__})
 
@@ -217,17 +227,20 @@ def run_scenario(config: RunConfig, quiet=False) -> int:
         report.stage("integrate_leaf", "PASS", time.time() - t0)
 
         grid = DiscGrid(config.n_theta, config.n_rho)
+        rejected = report.diagnostics["rejected_steps"] = []
         t0 = time.time()
         fam_p = continuation.continue_family(
             scenario, leaves, 0.05, 0.5, grid=grid,
             n_taylor=config.n_taylor, newton_tol=config.newton_tol,
             grad_cap=config.grad_cap, side="p")
+        rejected += fam_p.rejected
         report.stage("continue_family_p", "PASS", time.time() - t0)
         t0 = time.time()
         fam_q = continuation.continue_family(
             scenario, leaves, 0.95, 0.5, grid=grid,
             n_taylor=config.n_taylor, newton_tol=config.newton_tol,
             grad_cap=config.grad_cap, side="q")
+        rejected += fam_q.rejected
         report.stage("continue_family_q", "PASS", time.time() - t0)
 
         t0 = time.time()
@@ -254,6 +267,9 @@ def run_scenario(config: RunConfig, quiet=False) -> int:
         report.diagnostics["max_newton_iters"] = int(
             max(d.diagnostics["newton_iters"] for d in result.discs))
         report.diagnostics["n_discs"] = len(result.discs)
+        report.diagnostics["total_newton_iters"] = int(sum(
+            d.diagnostics["newton_iters"] for fam in (fam_p, fam_q)
+            for d in fam.discs))
 
         _write_family_files(result, scenario, config, report, out_dir)
 
@@ -264,6 +280,8 @@ def run_scenario(config: RunConfig, quiet=False) -> int:
             return _emit(report, out_dir, quiet, 2)
         return _emit(report, out_dir, quiet, 0)
     except LeviflatError as exc:
+        if isinstance(exc, StepUnderflow):   # the failed branch's steps
+            report.diagnostics["rejected_steps"] += exc.rejected
         report.status = "FAIL"
         report.error = f"{type(exc).__name__}: {exc}"
         return _emit(report, out_dir, quiet, 2)
@@ -465,6 +483,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(
                     f"--resolution expects NT,NR integers, got {args.resolution}")
+            _check_grid(nt, nr)
             config.n_theta, config.n_rho = nt, nr
         if args.command == "run" and config.scenario != "model-quadric":
             # only the disc solver uses n_taylor; fail before any stage runs

@@ -279,10 +279,15 @@ def collar_decay(disc: BishopDisc, chart, rho_range=(0.9, 0.99),
 
 @dataclass
 class DiscFamily:
+    """Accepted discs of one branch; `rejected` holds one dict per failed step
+    (the branch side, t of the disc it started from, the step dt, the error
+    type and message)."""
+
     discs: list
     t_values: np.ndarray
     monitors: list
     side: str
+    rejected: list = field(default_factory=list)
 
 
 def _initial_guess(scenario, leaves, t, grid, n_taylor) -> BishopDisc:
@@ -307,7 +312,8 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
     """March the pinned Bishop family from t_start to t_stop (snapped exactly).
 
     Predictor: previous disc's Taylor coefficients.  Step control: halve on
-    solver failure (StepUnderflow below min_dt), grow gently on easy solves.
+    solver failure (StepUnderflow below min_dt), grow gently on easy solves;
+    each failed step is recorded in DiscFamily.rejected.
     BlowUp is raised when the disc gradient exceeds grad_cap_factor times its
     initial value.
     """
@@ -317,7 +323,7 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
     dt = max_dt
     t = float(t_start)
     guess = _initial_guess(scenario, leaves, t, grid, n_taylor)
-    discs, t_values, monitors = [], [], []
+    discs, t_values, monitors, rejected = [], [], [], []
     grad_ref = None
 
     def solve_at(t_target, seed):
@@ -348,11 +354,15 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
                 nxt = solve_at(t_next, disc)
                 break
             except (NewtonStalled, MaxIterations, NoContraction,
-                    ResidualTooLarge, DiscSolveFailed):
+                    ResidualTooLarge, DiscSolveFailed) as exc:
+                rejected.append({"side": side, "t": disc.t, "dt": dt,
+                                 "error": type(exc).__name__,
+                                 "message": str(exc)})
                 dt *= 0.5
                 if dt < min_dt:
                     raise StepUnderflow(
-                        f"continuation step fell below {min_dt} at t = {disc.t}")
+                        f"continuation step fell below {min_dt} at t = {disc.t}",
+                        rejected)
         iters = nxt.diagnostics.get("newton_iters", 0)
         if iters <= 3:
             dt = min(max_dt, dt * 1.5)
@@ -360,7 +370,7 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
             dt = max(min_dt, dt * 0.5)
         disc = nxt
     return DiscFamily(discs=discs, t_values=np.asarray(t_values),
-                      monitors=monitors, side=side)
+                      monitors=monitors, side=side, rejected=rejected)
 
 
 # --- gluing and assembly -----------------------------------------------------------

@@ -105,7 +105,12 @@ class BlowUp(LeviflatError):
 
 
 class StepUnderflow(LeviflatError):
-    """Continuation step size fell below its lower bound."""
+    """Continuation step size fell below its lower bound; `rejected` holds
+    the family's failed steps, as in DiscFamily.rejected."""
+
+    def __init__(self, message, rejected=()):
+        super().__init__(message)
+        self.rejected = list(rejected)
 
 
 class NoMatch(LeviflatError):

@@ -301,6 +301,92 @@ class TestZeroDeformationFastPath:
                 assert np.array_equal(ca, cb)
 
 
+def full_jacobian_solve(sc, init, pins, n_taylor, newton_tol=1e-10,
+                        max_iter=25, fd_step=1e-6):
+    """Gauss-Newton with every Jacobian column through Psi^-1: a reference
+    for bishop_solve, which differences the rows at the boundary of h."""
+    chart, grid = sc.chart, init.grid
+    n = n_taylor + 1
+    zpow = np.stack([grid.zeta ** k for k in range(n)])
+    coeffs = np.zeros((2, n), dtype=complex)
+    for c, init_c in zip(coeffs, init.h_coeffs):
+        c[:min(n, len(init_c))] = init_c[:n]
+    x = B._pack(coeffs)
+
+    def residual(xb):
+        vals = B._coeffs_to_vals(B._unpack(xb, n), zpow)
+        f = B.psi_inverse_values(chart, grid, vals)
+        return B._residual_rows(sc.surface, pins, grid, f[..., -1, :])
+
+    r0 = residual(x)
+    best = float(np.max(np.abs(r0)))
+    for _ in range(max_iter):
+        if best <= newton_tol:
+            break
+        steps = fd_step * np.maximum(1.0, np.abs(x))
+        rb = residual(x[None, :] + np.diag(steps))
+        J = (rb - r0[None, :]).T / steps[None, :]
+        dx = np.linalg.lstsq(J, -r0, rcond=None)[0]
+        for k in range(9):
+            xt = x + dx * 0.5 ** k
+            rt = residual(xt)
+            if float(np.max(np.abs(rt))) < best:
+                x, r0, best = xt, rt, float(np.max(np.abs(rt)))
+                break
+        else:
+            raise AssertionError("reference Gauss-Newton stalled")
+    assert best <= newton_tol
+    return B._unpack(x, n)
+
+
+class TestStandardStructureJacobian:
+    """bishop_solve differences its Jacobian without Psi^-1."""
+
+    def solve_input(self, name, resolution, n_taylor, t=0.3, **params):
+        sc = make_scenario(name, **params)
+        leaves = C.reference_leaves(sc)
+        grid = DiscGrid(*resolution)
+        return (sc, C._initial_guess(sc, leaves, t, grid, n_taylor),
+                C.make_pinset(sc, leaves, t))
+
+    # at eps 0.05 and 32x16, 12 terms stall near 2e-9 with either Jacobian;
+    # 15, the grid's limit, converge
+    def perturbed(self):
+        return self.solve_input("perturbed-ball", (32, 16), 15, eps=0.05)
+
+    def test_psi_inverse_only_unbatched(self, monkeypatch):
+        sc, init, pins = self.perturbed()
+        shapes = []
+        psi_inverse = B.psi_inverse_values
+
+        def spy(chart, grid, hvals, **kw):
+            shapes.append(hvals.shape)
+            return psi_inverse(chart, grid, hvals, **kw)
+
+        monkeypatch.setattr(B, "psi_inverse_values", spy)
+        disc = B.bishop_solve(sc, sc.surface, init, pins, n_taylor=15)
+        grid = init.grid
+        assert shapes and set(shapes) == {(2, grid.n_radial, grid.n_theta)}
+        assert disc.diagnostics["newton_iters"] > 0
+        assert disc.diagnostics["boundary_residual"] <= 1e-10
+        assert disc.diagnostics["cr_residual"] <= 1e-8
+
+    def test_matches_full_jacobian(self):
+        sc, init, pins = self.perturbed()
+        disc = B.bishop_solve(sc, sc.surface, init, pins, n_taylor=15)
+        ref = full_jacobian_solve(sc, init, pins, 15)
+        for a, b in zip(disc.h_coeffs, ref):
+            assert np.max(np.abs(a - b)) <= 1e-8
+
+    def test_exact_where_a_vanishes(self):
+        # A = 0: the standard-structure Jacobian is the full one, bit for bit
+        sc, init, pins = self.solve_input("ball", (32, 16), 12)
+        disc = B.bishop_solve(sc, sc.surface, init, pins, n_taylor=12)
+        ref = full_jacobian_solve(sc, init, pins, 12)
+        for a, b in zip(disc.h_coeffs, ref):
+            assert np.array_equal(a, b)
+
+
 class TestProbeDisc:
     def test_center_conditions(self):
         sc = make_scenario("perturbed-ball")

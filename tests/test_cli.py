@@ -89,6 +89,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             cli.load_config(write_config(tmp_path, scenario="ball", n_rho=4))
 
+    @pytest.mark.parametrize("n_theta", [24, 8, 48])
+    def test_n_theta_power_of_two(self, tmp_path, n_theta):
+        with pytest.raises(ConfigError, match="power of two, >= 16"):
+            cli.load_config(write_config(
+                tmp_path, scenario="ball", n_theta=n_theta, n_rho=8,
+                n_taylor=8))
+
     def test_taylor_order_left_to_run(self, tmp_path):
         # leaf and levi never use n_taylor, so loading does not check it
         cfg = cli.load_config(write_config(
@@ -143,6 +150,24 @@ class TestMain:
         cfg = write_config(tmp_path, scenario="model-quadric")
         code = cli.main(["--resolution", "64x32", "--quiet", "run", cfg])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [None, "24,8"])
+    def test_run_n_theta_not_power_of_two(self, tmp_path, capsys, flag):
+        fields = {"n_theta": 24, "n_rho": 8, "n_taylor": 8} if flag is None \
+            else {}
+        cfg = write_config(tmp_path, scenario="ball", **fields)
+        out_dir = tmp_path / "out"
+        argv = ["--out", str(out_dir), "--quiet", "run", cfg]
+        if flag:
+            argv[:0] = ["--resolution", flag]
+        assert cli.main(argv) == 2
+        assert "n_theta = 24 must be a power of two" in capsys.readouterr().err
+        assert (out_dir / "FAILED").exists()
+
+    def test_resolution_flag_minimum_n_rho(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scenario="ball")
+        assert cli.main(["--resolution", "32,4", "--quiet", "leaf", cfg]) == 2
+        assert "n_rho = 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_theta,n_rho,flag,limit", [
         (32, 16, None, 15), (64, 16, None, 16),

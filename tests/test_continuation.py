@@ -1,11 +1,19 @@
 """Tests for leaves, disc-family continuation, gluing, and the certificate."""
 
+import json
+
 import numpy as np
 import pytest
 
+from leviflat import cli
 from leviflat import continuation as C
 from leviflat.calculus import DiscGrid
-from leviflat.errors import BlowUp, ComplexPointProximity, NoMatch
+from leviflat.errors import (
+    BlowUp,
+    ComplexPointProximity,
+    NewtonStalled,
+    NoMatch,
+)
 from leviflat.scenarios import make_scenario
 
 
@@ -125,6 +133,59 @@ class TestContinuation:
         with pytest.raises(BlowUp):
             C.continue_family(ball, leaves, 0.30, 0.38, grid=grid,
                               grad_cap=1e-3)
+
+
+def fail_solves(monkeypatch, failing):
+    """Make the bishop_solve calls numbered in `failing` (from 1) fail."""
+    solve = C.bishop_solve
+    calls = 0
+
+    def flaky(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        if calls in failing:
+            raise NewtonStalled("forced failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(C, "bishop_solve", flaky)
+
+
+def ball_config(tmp_path):
+    return cli.RunConfig(scenario="ball", n_theta=32, n_rho=16, n_taylor=12,
+                         output_dir=str(tmp_path))
+
+
+def report_diagnostics(tmp_path):
+    return json.loads((tmp_path / "report.json").read_text())["diagnostics"]
+
+
+class TestRejectedSteps:
+    def test_family_records_rejection(self, ball, leaves, monkeypatch):
+        fail_solves(monkeypatch, {2})
+        fam = C.continue_family(ball, leaves, 0.30, 0.36,
+                                grid=DiscGrid(32, 16), n_taylor=12)
+        assert fam.rejected == [{"side": "p", "t": 0.30, "dt": 0.025,
+                                 "error": "NewtonStalled",
+                                 "message": "forced failure"}]
+        assert fam.t_values[1] == pytest.approx(0.3125)   # the halved step
+
+    def test_report_lists_rejection(self, tmp_path, monkeypatch):
+        fail_solves(monkeypatch, {2})
+        assert cli.run_scenario(ball_config(tmp_path), quiet=True) == 0
+        diag = report_diagnostics(tmp_path)
+        assert diag["rejected_steps"] == [{
+            "side": "p", "t": 0.05, "dt": 0.025, "error": "NewtonStalled",
+            "message": "forced failure"}]
+        assert diag["total_newton_iters"] >= diag["max_newton_iters"] > 0
+
+    def test_failed_run_lists_rejections(self, tmp_path, monkeypatch):
+        # every step after the first disc fails: 8 halvings reach min_dt
+        fail_solves(monkeypatch, set(range(2, 100)))
+        assert cli.run_scenario(ball_config(tmp_path), quiet=True) == 2
+        diag = report_diagnostics(tmp_path)
+        assert [s["dt"] for s in diag["rejected_steps"]] == \
+            [0.025 * 0.5 ** k for k in range(8)]
+        assert {s["side"] for s in diag["rejected_steps"]} == {"p"}
 
 
 class TestGlue:
