@@ -201,7 +201,7 @@ def choose_dilation(model: EllipticPointModel, target=0.1, radius=1.0) -> float:
 
 
 def ellipse_map(gamma: float, r: float, n_theta: int = 512, tol: float = 1e-12,
-                max_iter: int = 200):
+                max_iter: int = 200, phi_start=None):
     """Conformal map of the unit disc onto the ellipse {P < r}, P = |z|^2 + gamma Re z^2.
 
     Returns (phi, coeffs): the boundary correspondence phi(theta_j) and the
@@ -209,15 +209,25 @@ def ellipse_map(gamma: float, r: float, n_theta: int = 512, tol: float = 1e-12,
     Boundary polar form R(phi) = sqrt(r / (1 + gamma cos 2 phi)); the
     correspondence is the Theodorsen fixed point phi = theta + K(log R(phi)),
     K the circle conjugation operator.
+
+    phi_start, the phi of an earlier call (n_theta * 2^k <= 32 n_theta
+    samples), warm-starts the iteration at its sampling; the fixed point, the
+    tail test and the trim still run at this r.  K drops the constant log r,
+    so phi does not depend on r and a warm start along r takes one step.
     """
     if not (0 <= gamma < 1):
         raise NegativeGamma(f"gamma = {gamma} outside the elliptic range [0, 1)")
     if r <= 0:
         raise ValueError("r must be positive")
+    phi = (2.0 * np.pi * np.arange(n_theta) / n_theta if phi_start is None
+           else np.asarray(phi_start, dtype=float))
+    n, k = len(phi), len(phi) // n_theta
+    if n % n_theta or not 1 <= k <= 32 or k & (k - 1):
+        raise ValueError(f"phi_start has {n} samples, not n_theta * 2^k "
+                         f"<= {32 * n_theta} (n_theta = {n_theta})")
 
-    def fixed_point(n, phi_start):
+    def fixed_point(n, phi):
         theta = 2.0 * np.pi * np.arange(n) / n
-        phi = theta.copy() if phi_start is None else phi_start
         damping = 1.0
         prev_change = np.inf
         # escalating damping handles maps outside the epsilon-condition regime
@@ -236,8 +246,6 @@ def ellipse_map(gamma: float, r: float, n_theta: int = 512, tol: float = 1e-12,
 
     # eccentric ellipses have slowly decaying map coefficients; refine the
     # sampling until the aliased negative-mode mass is negligible
-    phi = None
-    n = n_theta
     while True:
         phi = fixed_point(n, phi)
         boundary = np.sqrt(r / (1.0 + gamma * np.cos(2.0 * phi))) \
@@ -312,8 +320,9 @@ def model_family(gamma: float, r_list, grid: DiscGrid | None = None) -> list:
         grid = DiscGrid()
     P = quadric_height(gamma)
     out = []
+    phi = None      # warm start: the correspondence does not depend on r
     for r in r_list:
-        _, coeffs = ellipse_map(gamma, float(r))
+        phi, coeffs = ellipse_map(gamma, float(r), phi_start=phi)
         f1 = DiscField.from_taylor(grid, coeffs)
         f2 = DiscField.from_taylor(grid, [complex(r)])
         bres = float(np.max(np.abs(P(f1.boundary_values) - r)))
@@ -440,7 +449,7 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2, grid=None):
 
     def J_loc(zl):
         pts = p + scale * np.einsum("ij,...j->...i", L, np.asarray(zl))
-        return np.einsum("ij,...jk,kl->...il", Linv, chart.J(pts), L)
+        return Linv @ chart.J(pts) @ L
 
     loc_chart = AmbientChart(J=J_loc)
     zpow = np.stack([np.ones_like(grid.zeta), grid.zeta])   # (2, R, T)

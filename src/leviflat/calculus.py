@@ -325,14 +325,6 @@ class BoundaryField:
         theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
         return cls.from_samples(fn(theta))
 
-    @classmethod
-    def from_coeff_dict(cls, n_theta, d):
-        half = n_theta // 2
-        coeffs = np.zeros(n_theta + 1, dtype=complex)
-        for n, c in d.items():
-            coeffs[n + half] = c
-        return cls(n_theta, coeffs)
-
     @property
     def mode_numbers(self):
         half = self.n_theta // 2

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,7 @@ class RunReport:
     manifest: list = field(default_factory=list)
     status: str = "PASS"
     error: str | None = None
+    traceback: str | None = None
 
     def stage(self, name, status, seconds):
         self.stages.append({"name": name, "status": status,
@@ -72,8 +74,9 @@ class RunReport:
 
     def to_dict(self):
         return {"status": self.status, "error": self.error,
-                "stages": self.stages, "checks": self.checks,
-                "diagnostics": self.diagnostics, "manifest": self.manifest}
+                "traceback": self.traceback, "stages": self.stages,
+                "checks": self.checks, "diagnostics": self.diagnostics,
+                "manifest": self.manifest}
 
 
 def _check_grid(n_theta: int, n_rho: int):
@@ -202,93 +205,97 @@ def _write_family_files(result, scenario, config, report, out_dir):
         report.manifest.append(os.path.basename(path))
 
 
-def run_scenario(config: RunConfig, quiet=False) -> int:
+def _guarded(body, config: RunConfig, quiet: bool) -> int:
+    """Run the entry point body(config, report, quiet).  A LeviflatError
+    ends it with FAIL and exit 2, any other exception with ERROR and exit 1;
+    both write the traceback into report.json."""
     report = RunReport()
-    out_dir = config.output_dir
     try:
-        t0 = time.time()
-        scenario = _scenario_from(config)
-        rng = np.random.default_rng(config.seed)
-        samples = rng.uniform(-0.7, 0.7, (32, 4))
-        inv = scenario.chart.check_invariants(samples)
-        report.diagnostics["chart_invariants"] = inv
-        report.stage("chart_invariants", "PASS", time.time() - t0)
-
-        if config.scenario == "model-quadric":
-            return _run_quadric(scenario, config, report, out_dir, quiet)
-
-        t0 = time.time()
-        for pole in scenario.poles:
-            bishop.validate_adapted(pole.model)
-        report.stage("validate_adapted", "PASS", time.time() - t0)
-
-        t0 = time.time()
-        leaves = continuation.reference_leaves(scenario)
-        report.stage("integrate_leaf", "PASS", time.time() - t0)
-
-        grid = DiscGrid(config.n_theta, config.n_rho)
-        rejected = report.diagnostics["rejected_steps"] = []
-        t0 = time.time()
-        fam_p = continuation.continue_family(
-            scenario, leaves, 0.05, 0.5, grid=grid,
-            n_taylor=config.n_taylor, newton_tol=config.newton_tol,
-            grad_cap=config.grad_cap, side="p")
-        rejected += fam_p.rejected
-        report.stage("continue_family_p", "PASS", time.time() - t0)
-        t0 = time.time()
-        fam_q = continuation.continue_family(
-            scenario, leaves, 0.95, 0.5, grid=grid,
-            n_taylor=config.n_taylor, newton_tol=config.newton_tol,
-            grad_cap=config.grad_cap, side="q")
-        rejected += fam_q.rejected
-        report.stage("continue_family_q", "PASS", time.time() - t0)
-
-        t0 = time.time()
-        result = continuation.glue(fam_p, fam_q, tol=config.glue_tol)
-        report.stage("glue", "PASS", time.time() - t0)
-        report.checks["glue"] = "PASS"
-        report.diagnostics["glue_distance"] = result.glue_distance
-
-        mus = sorted({m["mu"] for m in result.monitors})
-        report.checks["mu_zero"] = "PASS" if mus == [0] else "FAIL"
-        areas = [m["area"] for m in result.monitors]
-        bound = geometry.sphere_area_bound(scenario.surface,
-                                           scenario.chart.omega)
-        report.checks["area_bound"] = (
-            "PASS" if max(areas) <= bound + 1e-4 else "FAIL")
-        report.diagnostics["max_area"] = float(max(areas))
-        report.diagnostics["sphere_area_bound"] = float(bound)
-        report.diagnostics["a_min"] = float(
-            min(m["a_min"] for m in result.monitors))
-        report.diagnostics["max_cr_residual"] = float(
-            max(d.diagnostics["cr_residual"] for d in result.discs))
-        report.diagnostics["max_boundary_residual"] = float(
-            max(d.diagnostics["boundary_residual"] for d in result.discs))
-        report.diagnostics["max_newton_iters"] = int(
-            max(d.diagnostics["newton_iters"] for d in result.discs))
-        report.diagnostics["n_discs"] = len(result.discs)
-        report.diagnostics["total_newton_iters"] = int(sum(
-            d.diagnostics["newton_iters"] for fam in (fam_p, fam_q)
-            for d in fam.discs))
-
-        _write_family_files(result, scenario, config, report, out_dir)
-
-        failed = [k for k, v in report.checks.items() if v == "FAIL"]
-        if failed:
-            report.status = "FAIL"
-            report.error = f"checks failed: {failed}"
-            return _emit(report, out_dir, quiet, 2)
-        return _emit(report, out_dir, quiet, 0)
-    except LeviflatError as exc:
+        return body(config, report, quiet)
+    except Exception as exc:
+        diagnostic = isinstance(exc, LeviflatError)
         if isinstance(exc, StepUnderflow):   # the failed branch's steps
-            report.diagnostics["rejected_steps"] += exc.rejected
+            report.diagnostics.setdefault("rejected_steps", []).extend(
+                exc.rejected)
+        report.status = "FAIL" if diagnostic else "ERROR"
+        report.error = f"{type(exc).__name__}: {exc}"
+        report.traceback = traceback.format_exc()
+        return _emit(report, config.output_dir, quiet, 2 if diagnostic else 1)
+
+
+def run_scenario(config: RunConfig, quiet=False) -> int:
+    return _guarded(_run_scenario, config, quiet)
+
+
+def _run_scenario(config: RunConfig, report: RunReport, quiet) -> int:
+    out_dir = config.output_dir
+    t0 = time.time()
+    scenario = _scenario_from(config)
+    rng = np.random.default_rng(config.seed)
+    samples = rng.uniform(-0.7, 0.7, (32, 4))
+    inv = scenario.chart.check_invariants(samples)
+    report.diagnostics["chart_invariants"] = inv
+    report.stage("chart_invariants", "PASS", time.time() - t0)
+
+    if config.scenario == "model-quadric":
+        return _run_quadric(scenario, config, report, out_dir, quiet)
+
+    t0 = time.time()
+    for pole in scenario.poles:
+        bishop.validate_adapted(pole.model)
+    report.stage("validate_adapted", "PASS", time.time() - t0)
+
+    t0 = time.time()
+    leaves = continuation.reference_leaves(scenario)
+    report.stage("integrate_leaf", "PASS", time.time() - t0)
+
+    grid = DiscGrid(config.n_theta, config.n_rho)
+    rejected = report.diagnostics["rejected_steps"] = []
+    fams = []
+    for side, t_start in (("p", 0.05), ("q", 0.95)):
+        t0 = time.time()
+        fams.append(continuation.continue_family(
+            scenario, leaves, t_start, 0.5, grid=grid,
+            n_taylor=config.n_taylor, newton_tol=config.newton_tol,
+            grad_cap=config.grad_cap, side=side))
+        rejected += fams[-1].rejected
+        report.stage(f"continue_family_{side}", "PASS", time.time() - t0)
+
+    t0 = time.time()
+    result = continuation.glue(*fams, tol=config.glue_tol)
+    report.stage("glue", "PASS", time.time() - t0)
+    report.checks["glue"] = "PASS"
+    report.diagnostics["glue_distance"] = result.glue_distance
+
+    mus = sorted({m["mu"] for m in result.monitors})
+    report.checks["mu_zero"] = "PASS" if mus == [0] else "FAIL"
+    areas = [m["area"] for m in result.monitors]
+    bound = geometry.sphere_area_bound(scenario.surface,
+                                       scenario.chart.omega)
+    report.checks["area_bound"] = (
+        "PASS" if max(areas) <= bound + 1e-4 else "FAIL")
+    report.diagnostics["max_area"] = float(max(areas))
+    report.diagnostics["sphere_area_bound"] = float(bound)
+    report.diagnostics["a_min"] = float(
+        min(m["a_min"] for m in result.monitors))
+    report.diagnostics["max_cr_residual"] = float(
+        max(d.diagnostics["cr_residual"] for d in result.discs))
+    report.diagnostics["max_boundary_residual"] = float(
+        max(d.diagnostics["boundary_residual"] for d in result.discs))
+    report.diagnostics["max_newton_iters"] = int(
+        max(d.diagnostics["newton_iters"] for d in result.discs))
+    report.diagnostics["n_discs"] = len(result.discs)
+    report.diagnostics["total_newton_iters"] = int(sum(
+        d.diagnostics["newton_iters"] for fam in fams for d in fam.discs))
+
+    _write_family_files(result, scenario, config, report, out_dir)
+
+    failed = [k for k, v in report.checks.items() if v == "FAIL"]
+    if failed:
         report.status = "FAIL"
-        report.error = f"{type(exc).__name__}: {exc}"
+        report.error = f"checks failed: {failed}"
         return _emit(report, out_dir, quiet, 2)
-    except Exception as exc:  # unexpected
-        report.status = "ERROR"
-        report.error = f"{type(exc).__name__}: {exc}"
-        return _emit(report, out_dir, quiet, 1)
+    return _emit(report, out_dir, quiet, 0)
 
 
 def run_check(quiet=False) -> int:
@@ -331,81 +338,69 @@ def run_check(quiet=False) -> int:
 
 
 def run_leaf(config: RunConfig, quiet=False) -> int:
-    report = RunReport()
+    return _guarded(_run_leaf, config, quiet)
+
+
+def _run_leaf(config: RunConfig, report: RunReport, quiet) -> int:
     out_dir = config.output_dir
-    try:
-        scenario = _scenario_from(config)
-        t0 = time.time()
-        leaves = continuation.reference_leaves(scenario)
-        report.stage("integrate_leaf", "PASS", time.time() - t0)
-        os.makedirs(out_dir, exist_ok=True)
-        rows = []
-        for k, leaf in enumerate(leaves):
-            block = np.column_stack(
-                [np.full(len(leaf.t), float(k)), leaf.t, leaf.u, leaf.v,
-                 leaf.points])
-            rows.append(block)
-        serialize.write_csv(
-            os.path.join(out_dir, "leaf.csv"),
-            ["leaf", "t", "u", "v", "x1", "y1", "x2", "y2"],
-            np.concatenate(rows, axis=0))
-        report.manifest.append("leaf.csv")
-        report.diagnostics["n_points"] = [len(l.t) for l in leaves]
-        return _emit(report, out_dir, quiet, 0)
-    except LeviflatError as exc:
-        report.status = "FAIL"
-        report.error = f"{type(exc).__name__}: {exc}"
-        return _emit(report, out_dir, quiet, 2)
-    except Exception as exc:
-        report.status = "ERROR"
-        report.error = f"{type(exc).__name__}: {exc}"
-        return _emit(report, out_dir, quiet, 1)
+    scenario = _scenario_from(config)
+    t0 = time.time()
+    leaves = continuation.reference_leaves(scenario)
+    report.stage("integrate_leaf", "PASS", time.time() - t0)
+    os.makedirs(out_dir, exist_ok=True)
+    rows = []
+    for k, leaf in enumerate(leaves):
+        block = np.column_stack(
+            [np.full(len(leaf.t), float(k)), leaf.t, leaf.u, leaf.v,
+             leaf.points])
+        rows.append(block)
+    serialize.write_csv(
+        os.path.join(out_dir, "leaf.csv"),
+        ["leaf", "t", "u", "v", "x1", "y1", "x2", "y2"],
+        np.concatenate(rows, axis=0))
+    report.manifest.append("leaf.csv")
+    report.diagnostics["n_points"] = [len(l.t) for l in leaves]
+    return _emit(report, out_dir, quiet, 0)
 
 
 def run_levi(config: RunConfig, quiet=False) -> int:
     """Levi-form samples of the boundary defining function + exhaustion scan."""
-    report = RunReport()
-    out_dir = config.output_dir
-    try:
-        scenario = _scenario_from(config)
-        chart = scenario.chart
-        rng = np.random.default_rng(config.seed)
-        t0 = time.time()
-        # Levi form of r at interior samples, random complex-tangent-free dirs
-        vals = []
-        n = 0
-        while n < 24:
-            p = rng.uniform(-0.9, 0.9, 4)
-            if chart.defining_r(p) >= -0.05:
-                continue
-            t = rng.standard_normal(4)
-            t /= np.linalg.norm(t)
-            vals.append(geometry.levi_form(chart, chart.defining_r, p, t))
-            n += 1
-        report.diagnostics["levi_r_min"] = float(np.min(vals))
-        report.diagnostics["levi_r_max"] = float(np.max(vals))
-        report.stage("levi_samples", "PASS", time.time() - t0)
+    return _guarded(_run_levi, config, quiet)
 
-        if chart.psi is not None:
-            t0 = time.time()
-            best = df_scan(scenario, seed=config.seed)
-            report.diagnostics["df_scan"] = best
-            report.checks["df_exhaustion"] = (
-                "PASS" if best["passed"] else "FAIL")
-            report.stage("df_scan", "PASS", time.time() - t0)
-        if report.checks.get("df_exhaustion", "PASS") != "PASS":
-            report.status = "FAIL"
-            report.error = "no plurisubharmonic exhaustion parameters found"
-            return _emit(report, out_dir, quiet, 2)
-        return _emit(report, out_dir, quiet, 0)
-    except LeviflatError as exc:
+
+def _run_levi(config: RunConfig, report: RunReport, quiet) -> int:
+    out_dir = config.output_dir
+    scenario = _scenario_from(config)
+    chart = scenario.chart
+    rng = np.random.default_rng(config.seed)
+    t0 = time.time()
+    # Levi form of r at interior samples, random complex-tangent-free dirs
+    vals = []
+    n = 0
+    while n < 24:
+        p = rng.uniform(-0.9, 0.9, 4)
+        if chart.defining_r(p) >= -0.05:
+            continue
+        t = rng.standard_normal(4)
+        t /= np.linalg.norm(t)
+        vals.append(geometry.levi_form(chart, chart.defining_r, p, t))
+        n += 1
+    report.diagnostics["levi_r_min"] = float(np.min(vals))
+    report.diagnostics["levi_r_max"] = float(np.max(vals))
+    report.stage("levi_samples", "PASS", time.time() - t0)
+
+    if chart.psi is not None:
+        t0 = time.time()
+        best = df_scan(scenario, seed=config.seed)
+        report.diagnostics["df_scan"] = best
+        report.checks["df_exhaustion"] = (
+            "PASS" if best["passed"] else "FAIL")
+        report.stage("df_scan", "PASS", time.time() - t0)
+    if report.checks.get("df_exhaustion", "PASS") != "PASS":
         report.status = "FAIL"
-        report.error = f"{type(exc).__name__}: {exc}"
+        report.error = "no plurisubharmonic exhaustion parameters found"
         return _emit(report, out_dir, quiet, 2)
-    except Exception as exc:
-        report.status = "ERROR"
-        report.error = f"{type(exc).__name__}: {exc}"
-        return _emit(report, out_dir, quiet, 1)
+    return _emit(report, out_dir, quiet, 0)
 
 
 def collar_samples(scenario, n=32, depth=(0.02, 0.2), seed=0):

@@ -85,11 +85,6 @@ class CharacteristicLeaf:
         coords = [np.interp(t, self.t, self.points[:, k]) for k in range(4)]
         return np.asarray(coords)
 
-    def angle_at_height(self, v):
-        """Leaf angle u at height(s) v (interpolated, unwrapped)."""
-        order = np.argsort(self.v)
-        return np.interp(v, self.v[order], self.u[order])
-
     def membership(self, surface):
         """Residual function z -> wrapped angle offset from the leaf."""
         order = np.argsort(self.v)

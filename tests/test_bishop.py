@@ -160,6 +160,40 @@ class TestModelFamily:
         with pytest.raises(ValueError):
             B.model_family(0.3, [0.5, 0.25], grid)
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.7])
+    def test_warm_start_along_r(self, grid, gamma, monkeypatch):
+        """Each radius after the first starts from the previous phi and
+        converges in one conjugation, to the coefficients of a cold solve."""
+        r_list = np.linspace(0.1, 1.0, 10)
+        conjugations = []
+        conjugate, ellipse_map = B.conjugate, B.ellipse_map
+
+        def counting_conjugate(field):
+            conjugations[-1] += 1
+            return conjugate(field)
+
+        def counting_ellipse_map(*args, **kwargs):
+            conjugations.append(0)
+            return ellipse_map(*args, **kwargs)
+
+        monkeypatch.setattr(B, "conjugate", counting_conjugate)
+        monkeypatch.setattr(B, "ellipse_map", counting_ellipse_map)
+        discs = B.model_family(gamma, r_list, grid)
+        monkeypatch.undo()
+        assert len(conjugations) == len(r_list)
+        assert conjugations[0] > 1
+        assert conjugations[1:] == [1] * (len(r_list) - 1)
+        for disc, r in zip(discs, r_list):
+            _, cold = B.ellipse_map(gamma, float(r))
+            assert len(disc.h_coeffs[0]) == len(cold)
+            assert np.max(np.abs(disc.h_coeffs[0] - cold)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, 500, 3 * 512, 64 * 512])
+    def test_warm_start_length_checked(self, n):
+        # phi_start must hold n_theta * 2^k <= 32 n_theta samples
+        with pytest.raises(ValueError, match="phi_start"):
+            B.ellipse_map(0.5, 1.0, phi_start=np.zeros(n))
+
 
 class TestPsiOperator:
     def chart(self, strength=0.05):

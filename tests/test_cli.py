@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from leviflat import cli
-from leviflat.errors import ConfigError
+from leviflat import cli, continuation, geometry
+from leviflat.errors import ConfigError, DiscSolveFailed
 
 
 def write_config(tmp_path, **fields):
@@ -211,3 +211,56 @@ class TestMain:
         (out_dir / "FAILED").write_text("stale\n")
         assert cli.main(["--out", str(out_dir), "--quiet", "run", cfg]) == 0
         assert not (out_dir / "FAILED").exists()
+
+
+def exploding_stage(*args, **kwargs):
+    raise RuntimeError("unexpected")
+
+
+def failing_stage(*args, **kwargs):
+    raise DiscSolveFailed("diagnostic")
+
+
+class TestFailureReports:
+    """run, leaf and levi share one failure path that keeps the traceback."""
+
+    STAGES = [("run", continuation, "reference_leaves"),
+              ("leaf", continuation, "reference_leaves"),
+              ("levi", geometry, "levi_form")]
+
+    def run_with(self, tmp_path, monkeypatch, command, owner, attr, stage):
+        monkeypatch.setattr(owner, attr, stage)
+        cfg = write_config(tmp_path, scenario="ball")
+        out_dir = tmp_path / "out"
+        code = cli.main(["--out", str(out_dir), "--quiet", command, cfg])
+        assert (out_dir / "FAILED").exists()
+        return code, json.loads((out_dir / "report.json").read_text())
+
+    @pytest.mark.parametrize("command,owner,attr", STAGES,
+                             ids=[s[0] for s in STAGES])
+    def test_unexpected_exception(self, tmp_path, monkeypatch, command,
+                                  owner, attr):
+        code, report = self.run_with(tmp_path, monkeypatch, command, owner,
+                                     attr, exploding_stage)
+        assert code == 1
+        assert report["status"] == "ERROR"
+        assert report["error"] == "RuntimeError: unexpected"
+        assert "in exploding_stage" in report["traceback"]
+
+    @pytest.mark.parametrize("command,owner,attr", STAGES,
+                             ids=[s[0] for s in STAGES])
+    def test_diagnostic_failure(self, tmp_path, monkeypatch, command, owner,
+                                attr):
+        code, report = self.run_with(tmp_path, monkeypatch, command, owner,
+                                     attr, failing_stage)
+        assert code == 2
+        assert report["status"] == "FAIL"
+        assert report["error"] == "DiscSolveFailed: diagnostic"
+        assert "in failing_stage" in report["traceback"]
+
+    def test_pass_has_no_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, scenario="ball")
+        out_dir = tmp_path / "out"
+        assert cli.main(["--out", str(out_dir), "--quiet", "leaf", cfg]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["status"] == "PASS" and report["traceback"] is None
