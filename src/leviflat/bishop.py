@@ -15,7 +15,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +36,7 @@ from .errors import (
 from .geometry import AmbientChart, to_complex, to_real
 
 DEFAULT_N_TAYLOR = 24
+THEODORSEN_N = 512          # initial boundary sampling of ellipse_map
 
 
 # --- surface patches and complex-point models ---------------------------------
@@ -78,7 +79,6 @@ class EllipticPointModel:
     gamma: float
     chart: AmbientChart
     rho: Callable          # adapted defining pair, (..., 4) -> (..., 2)
-    delta: float = 1.0
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -104,7 +104,7 @@ def quadric_height(gamma):
     return P
 
 
-def validate_adapted(model: EllipticPointModel, tol=1e-6) -> dict:
+def validate_adapted(model: EllipticPointModel) -> dict:
     """Check the adapted-coordinate normalization clauses at the model center.
 
     Verifies that the deformation tensor vanishes at the center, that its
@@ -127,7 +127,7 @@ def validate_adapted(model: EllipticPointModel, tol=1e-6) -> dict:
         np.max(np.abs((col(np.array([0, h, 0, 0])) - col(np.array([0, -h, 0, 0])))
                       / (2 * h))),
     )
-    if d_first > tol:
+    if d_first > 1e-6:
         raise AdaptationFailure(
             f"first column of A is not o(|z|) on z2 = 0 (slope {d_first:.3e})")
 
@@ -146,62 +146,10 @@ def validate_adapted(model: EllipticPointModel, tol=1e-6) -> dict:
             "quadric_ratios": ratios, "passed": True}
 
 
-def dilate(model: EllipticPointModel, delta: float) -> EllipticPointModel:
-    """Push the model through the non-isotropic dilation (z1, z2) -> (z1/sqrt(delta), z2/delta)."""
-    if not (0 < delta <= 1):
-        raise ValueError("delta must lie in (0, 1]")
-    if delta == 1.0:
-        return model
-    d4 = np.array([delta ** -0.5, delta ** -0.5, 1.0 / delta, 1.0 / delta])
-    inv4 = 1.0 / d4
-    chart = model.chart
-
-    def pull(z):
-        return np.asarray(z, dtype=float) * inv4
-
-    def J_new(z):
-        return (d4[:, None] * chart.J(pull(z))) * inv4[None, :]
-
-    A_new = None
-    if chart.A_fn is not None:
-        dc = np.array([delta ** -0.5, 1.0 / delta])
-
-        def A_new(z):
-            return (dc[:, None] * chart.A_fn(pull(z))) * (1.0 / dc)[None, :]
-
-    chart_new = replace(
-        chart,
-        J=J_new,
-        A_fn=A_new,
-        defining_r=(None if chart.defining_r is None
-                    else lambda z: chart.defining_r(pull(z)) / delta),
-        psi=None if chart.psi is None else (lambda z: chart.psi(pull(z))),
-        r_grad=None,
-    )
-    rho_new = lambda z: model.rho(pull(z)) / delta
-    return EllipticPointModel(gamma=model.gamma, chart=chart_new,
-                              rho=rho_new, delta=model.delta * delta)
-
-
-def choose_dilation(model: EllipticPointModel, target=0.1, radius=1.0) -> float:
-    """Dilation parameter delta making ||A|| <= target on the working polydisc."""
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-radius, radius, size=(64, 4))
-    delta = 1.0
-    for _ in range(40):
-        norms = np.linalg.norm(
-            dilate(model, delta).chart.deformation_at(pts), axis=(-2, -1))
-        if np.max(norms) <= target:
-            return delta
-        delta *= 0.5
-    raise DiscSolveFailed("no dilation achieves the contraction regime")
-
-
 # --- Theodorsen conformal map onto the model ellipse ---------------------------
 
 
-def ellipse_map(gamma: float, r: float, n_theta: int = 512, tol: float = 1e-12,
-                max_iter: int = 200, phi_start=None):
+def ellipse_map(gamma: float, r: float, phi_start=None):
     """Conformal map of the unit disc onto the ellipse {P < r}, P = |z|^2 + gamma Re z^2.
 
     Returns (phi, coeffs): the boundary correspondence phi(theta_j) and the
@@ -211,14 +159,16 @@ def ellipse_map(gamma: float, r: float, n_theta: int = 512, tol: float = 1e-12,
     K the circle conjugation operator.
 
     phi_start, the phi of an earlier call (n_theta * 2^k <= 32 n_theta
-    samples), warm-starts the iteration at its sampling; the fixed point, the
-    tail test and the trim still run at this r.  K drops the constant log r,
-    so phi does not depend on r and a warm start along r takes one step.
+    samples, n_theta = THEODORSEN_N), warm-starts the iteration at its
+    sampling; the fixed point, the tail test and the trim still run at
+    this r.  K drops the constant log r, so phi does not depend on r and a
+    warm start along r takes one step.
     """
     if not (0 <= gamma < 1):
         raise NegativeGamma(f"gamma = {gamma} outside the elliptic range [0, 1)")
     if r <= 0:
         raise ValueError("r must be positive")
+    n_theta = THEODORSEN_N
     phi = (2.0 * np.pi * np.arange(n_theta) / n_theta if phi_start is None
            else np.asarray(phi_start, dtype=float))
     n, k = len(phi), len(phi) // n_theta
@@ -231,7 +181,7 @@ def ellipse_map(gamma: float, r: float, n_theta: int = 512, tol: float = 1e-12,
         damping = 1.0
         prev_change = np.inf
         # escalating damping handles maps outside the epsilon-condition regime
-        for _ in range(8 * max_iter):
+        for _ in range(1600):
             log_R = 0.5 * np.log(r / (1.0 + gamma * np.cos(2.0 * phi)))
             conj = conjugate(BoundaryField.from_samples(log_R.astype(complex)))
             phi_new = theta + np.real(conj.samples())
@@ -240,9 +190,9 @@ def ellipse_map(gamma: float, r: float, n_theta: int = 512, tol: float = 1e-12,
                 damping *= 0.5
             phi = phi + damping * (phi_new - phi)
             prev_change = change
-            if change <= tol:
+            if change <= 1e-12:
                 return phi
-        raise TheodorsenDiverged(f"no fixed point after {8 * max_iter} iterations")
+        raise TheodorsenDiverged("no fixed point after 1600 iterations")
 
     # eccentric ellipses have slowly decaying map coefficients; refine the
     # sampling until the aliased negative-mode mass is negligible
@@ -259,11 +209,14 @@ def ellipse_map(gamma: float, r: float, n_theta: int = 512, tol: float = 1e-12,
                 f"boundary values are not holomorphic "
                 f"(negative-mode mass {tail:.3e} at {n} samples)")
         # warm start on the doubled grid: phi - theta is periodic and smooth
-        offset = phi - 2.0 * np.pi * np.arange(n) / n
+        # (its n + 1 modes zero-padded to the 2n + 1 of the doubled grid)
+        offset = BoundaryField.from_samples(
+            (phi - 2.0 * np.pi * np.arange(n) / n).astype(complex))
+        padded = np.zeros(2 * n + 1, dtype=complex)
+        padded[n // 2:n // 2 + n + 1] = offset.coeffs
         n *= 2
-        theta_f = 2.0 * np.pi * np.arange(n) / n
-        phi = theta_f + np.real(BoundaryField.from_samples(
-            offset.astype(complex)).samples(theta_f))
+        phi = 2.0 * np.pi * np.arange(n) / n \
+            + np.real(BoundaryField(n, padded).samples())
 
     coeffs = F[:n // 2].copy()
     coeffs[0] = 0.0                       # z(0) = 0
@@ -301,12 +254,6 @@ class BishopDisc:
     def boundary_points(self):
         return self.points()[-1]
 
-    def boundary_at(self, theta):
-        """Trig-interpolated boundary points at angles theta, real (len, 4)."""
-        z = np.stack([self.f[0].eval_boundary(theta),
-                      self.f[1].eval_boundary(theta)], axis=-1)
-        return to_real(z)
-
 
 def model_family(gamma: float, r_list, grid: DiscGrid | None = None) -> list:
     """The one-parameter family of model discs (z_{1,r}(zeta), r) on the quadric."""
@@ -337,78 +284,47 @@ def model_family(gamma: float, r_list, grid: DiscGrid | None = None) -> list:
 # --- the resolution operator Psi and its inverse --------------------------------
 
 
-def _psi_rhs(chart: AmbientChart, grid: DiscGrid, vals):
-    """T(A(f) dbar(conj f)) for stacked values vals, shape (..., 2, R, n_theta).
-
-    Where A vanishes at every point of f (J = J_st there) the term is 0 and
-    no sweep is run.
-    """
-    pts = to_real(np.moveaxis(vals, -3, -1))
-    A = chart.deformation_at(pts)
+def _deformation_term(chart: AmbientChart, grid: DiscGrid, vals):
+    """A(f) dbar(conj f) for stacked values vals, shape (..., 2, R, n_theta);
+    None where A vanishes at every point of f (J = J_st there)."""
+    A = chart.deformation_at(to_real(np.moveaxis(vals, -3, -1)))
     if not A.any():
-        return 0.0
+        return None
     dbar_conj = np.conj(grid.dz_apply(vals))
-    q_pt = np.einsum("...ij,...j->...i", A,
-                     np.moveaxis(dbar_conj, -3, -1))
-    q = np.moveaxis(q_pt, -1, -3)
-    return grid.cg_apply(q)
+    q_pt = np.einsum("...ij,...j->...i", A, np.moveaxis(dbar_conj, -3, -1))
+    return np.moveaxis(q_pt, -1, -3)
 
 
-def psi_apply_values(chart: AmbientChart, grid: DiscGrid, vals):
-    return vals + _psi_rhs(chart, grid, vals)
+def _psi_rhs(chart: AmbientChart, grid: DiscGrid, vals):
+    """T(A(f) dbar(conj f)); 0, with no sweep run, where A vanishes."""
+    q = _deformation_term(chart, grid, vals)
+    return 0.0 if q is None else grid.cg_apply(q)
 
 
-def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals,
-                       tol=1e-12, max_iter=100):
+def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals):
     """Fixed point f = h - T(A(f) dbar(conj f)), batched over leading axes."""
     f = hvals      # never written; each pass makes a new f
     prev = np.inf
     growth = 0
-    for _ in range(max_iter):
+    for _ in range(100):
         f_new = hvals - _psi_rhs(chart, grid, f)
         change = float(np.max(np.abs(f_new - f)))
         f = f_new
-        if change <= tol:
+        if change <= 1e-12:
             return f
         growth = growth + 1 if change > prev else 0
         if growth >= 5:
             raise NoContraction(
                 f"psi inverse iteration diverging (change {change:.3e})")
         prev = change
-    raise NoContraction(f"psi inverse: no convergence in {max_iter} iterations")
+    raise NoContraction("psi inverse: no convergence in 100 iterations")
 
 
 def cr_residual_values(chart: AmbientChart, grid: DiscGrid, vals):
     """sup |dbar f + A(f) dbar(conj f)| (the J-holomorphy defect)."""
     dbar_vals = grid.dbar_apply(vals)
-    pts = to_real(np.moveaxis(vals, -3, -1))
-    A = chart.deformation_at(pts)
-    if not A.any():
-        return float(np.max(np.abs(dbar_vals)))
-    dbar_conj = np.conj(grid.dz_apply(vals))
-    q = np.moveaxis(
-        np.einsum("...ij,...j->...i", A, np.moveaxis(dbar_conj, -3, -1)),
-        -1, -3)
-    return float(np.max(np.abs(dbar_vals + q)))
-
-
-def psi_apply(chart: AmbientChart, f_pair) -> tuple:
-    grid = f_pair[0].grid
-    vals = np.stack([f_pair[0].values, f_pair[1].values])
-    h = psi_apply_values(chart, grid, vals)
-    return (DiscField(grid, h[0]), DiscField(grid, h[1]))
-
-
-def psi_inverse(chart: AmbientChart, h_pair, tol=1e-12, max_iter=100,
-                verify=True) -> tuple:
-    grid = h_pair[0].grid
-    hvals = np.stack([h_pair[0].values, h_pair[1].values])
-    f = psi_inverse_values(chart, grid, hvals, tol=tol, max_iter=max_iter)
-    if verify:
-        res = cr_residual_values(chart, grid, f)
-        if res > 1e-8:
-            raise ResidualTooLarge(f"J-holomorphy residual {res:.3e} > 1e-8")
-    return (DiscField(grid, f[0]), DiscField(grid, f[1]))
+    q = _deformation_term(chart, grid, vals)
+    return float(np.max(np.abs(dbar_vals if q is None else dbar_vals + q)))
 
 
 # --- local probe discs (Levi-form oracle) ---------------------------------------
@@ -434,7 +350,7 @@ def _normalizing_frame(Jp, t):
     return L
 
 
-def probe_disc(chart: AmbientChart, p, t, scale=1e-2, grid=None):
+def probe_disc(chart: AmbientChart, p, t, scale=1e-2):
     """Small J-holomorphic disc f with f(0) = p and df(0) e1 = scale * t.
 
     Returns (ambient complex samples (R, n_theta, 2), grid).  Built by the
@@ -442,8 +358,7 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2, grid=None):
     standard structure, with a Newton correction of the center conditions.
     """
     p = np.asarray(p, dtype=float)
-    if grid is None:
-        grid = DiscGrid(32, 16)
+    grid = DiscGrid(32, 16)
     L = _normalizing_frame(chart.J(p), t)
     Linv = np.linalg.inv(L)
 
@@ -563,18 +478,18 @@ def _residual_rows(surface: SurfacePatch, pins: PinSet, grid: DiscGrid, bdry):
 
 def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
                  pins: PinSet, n_taylor: int = DEFAULT_N_TAYLOR,
-                 newton_tol: float = 1e-10, max_iter: int = 25,
-                 fd_step: float = 1e-6, check_winding: bool = True) -> BishopDisc:
+                 newton_tol: float = 1e-10) -> BishopDisc:
     """Solve the Bishop boundary problem rho(Psi^{-1}(h)) = 0 with 4 gauge rows.
 
     Gauss-Newton on the truncated Taylor coefficients of the holomorphic
     unknown h; residual = the two defining functions at the boundary samples
     of f = Psi^{-1}(h), stacked with the pin rows of `pins`, with damped
-    (backtracking) steps.  The Jacobian is that of the standard structure:
+    (backtracking) steps, at most 25.  The Jacobian is that of the standard structure:
     forward differences of the rows at the boundary values of h itself,
     with Psi^{-1} left out.  It is exact where A = 0 and off by O(|A|)
     otherwise, so Newton then converges linearly at that rate; the residual
-    the steps minimize stays exact, and so does the converged disc.
+    the steps minimize stays exact, and so does the converged disc, whose
+    winding mu must be 0.
     """
     chart = scenario.chart
     grid = init.grid
@@ -603,12 +518,12 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
     best = float(np.max(np.abs(r0)))
     iters = 0
     while best > newton_tol:
-        if iters >= max_iter:
+        if iters >= 25:
             raise MaxIterations(
-                f"no convergence in {max_iter} Gauss-Newton iterations "
+                "no convergence in 25 Gauss-Newton iterations "
                 f"(residual {best:.3e})")
         iters += 1
-        steps = fd_step * np.maximum(1.0, np.abs(x))
+        steps = 1e-6 * np.maximum(1.0, np.abs(x))
         batch = x[None, :] + np.diag(steps)
         J = (h_rows(batch) - h_rows(x)[None, :]).T / steps[None, :]
         dx = np.linalg.lstsq(J, -r0, rcond=None)[0]
@@ -634,10 +549,8 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
         t=init.t,
         diagnostics={"newton_iters": iters, "boundary_residual": bres,
                      "cr_residual": cr})
-    if check_winding:
-        from .continuation import maslov_index
-        mu = maslov_index(disc, surface)
-        disc.diagnostics["mu"] = mu
-        if mu != 0:
-            raise WindingChanged(f"winding mu = {mu} differs from 0")
+    from .continuation import maslov_index
+    mu = disc.diagnostics["mu"] = maslov_index(disc, surface)
+    if mu != 0:
+        raise WindingChanged(f"winding mu = {mu} differs from 0")
     return disc

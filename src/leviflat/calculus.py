@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotReal, Underresolved, ZeroOnCircle
+from .errors import ConfigError, NotReal, Underresolved, ZeroOnCircle
 
 DEFAULT_N_THETA = 64
 DEFAULT_N_RHO = 32
@@ -72,14 +72,21 @@ def _eval_row(nodes, x):
     return row / row.sum()
 
 
+def check_grid(n_theta: int, n_rho: int):
+    """Refuse a grid DiscGrid cannot build: n_theta must be a power of two
+    >= 16 (the angular FFT grid), n_rho at least 8."""
+    if n_theta < 16 or (n_theta & (n_theta - 1)) != 0:
+        raise ConfigError(
+            f"n_theta = {n_theta} must be a power of two, >= 16")
+    if n_rho < 8:
+        raise ConfigError(f"n_rho = {n_rho} must be at least 8")
+
+
 class DiscGrid:
     """Polar grid on the closed unit disc with spectral operators attached."""
 
     def __init__(self, n_theta=DEFAULT_N_THETA, n_rho=DEFAULT_N_RHO):
-        if n_theta < 16 or (n_theta & (n_theta - 1)) != 0:
-            raise ValueError("n_theta must be a power of two, >= 16")
-        if n_rho < 8:
-            raise ValueError("n_rho must be >= 8")
+        check_grid(n_theta, n_rho)
         self.n_theta = int(n_theta)
         self.n_rho = int(n_rho)
 
@@ -100,12 +107,6 @@ class DiscGrid:
 
         self._cg_matrices = None      # built lazily
         self._cg_shift = None
-
-    # -- basic quadrature ----------------------------------------------------
-
-    def integrate(self, values):
-        """Integral over the unit disc of a sampled field (dA measure)."""
-        return np.sum(values * self.area_weights, axis=(-2, -1))
 
     @property
     def n_radial(self):
@@ -263,10 +264,6 @@ class DiscField:
             zk = zk * grid.zeta
         return cls(grid, vals)
 
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.n_radial, grid.n_theta), dtype=complex))
-
     @property
     def boundary_values(self):
         return self.values[-1, :]
@@ -311,13 +308,13 @@ class BoundaryField:
         n = len(samples)
         F = np.fft.fft(samples) / n
         half = n // 2
-        coeffs = np.zeros(n + 1, dtype=complex)
-        for j, m in enumerate(np.fft.fftfreq(n, 1.0 / n).astype(int)):
-            if m == -half:
-                coeffs[0] += F[j] / 2.0
-                coeffs[-1] += F[j] / 2.0
-            else:
-                coeffs[m + half] = F[j]
+        # FFT order is modes 0..half-1, then -half..-1; the Nyquist mode
+        # -half is split evenly between n = -half and n = +half
+        coeffs = np.empty(n + 1, dtype=complex)
+        coeffs[half:] = F[:half + 1]
+        coeffs[:half] = F[half:]
+        coeffs[0] /= 2.0
+        coeffs[-1] /= 2.0
         return cls(n, coeffs)
 
     @classmethod
@@ -333,18 +330,15 @@ class BoundaryField:
     def coeff(self, n):
         return self.coeffs[n + self.n_theta // 2]
 
-    def samples(self, theta=None):
-        if theta is None:
-            # equispaced grid: invert the transform of from_samples directly
-            n, half = self.n_theta, self.n_theta // 2
-            F = np.zeros(n, dtype=complex)
-            modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
-            F[modes == -half] = self.coeffs[0] + self.coeffs[-1]
-            pos = modes != -half
-            F[pos] = self.coeffs[modes[pos] + half]
-            return np.fft.ifft(F * n)
-        ph = np.exp(1j * np.outer(theta, self.mode_numbers))
-        return ph @ self.coeffs
+    def samples(self):
+        """Values on the equispaced grid: the inverse of from_samples."""
+        n, half = self.n_theta, self.n_theta // 2
+        F = np.zeros(n, dtype=complex)
+        modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
+        F[modes == -half] = self.coeffs[0] + self.coeffs[-1]
+        pos = modes != -half
+        F[pos] = self.coeffs[modes[pos] + half]
+        return np.fft.ifft(F * n)
 
     def is_real(self):
         flipped = np.conj(self.coeffs[::-1])
@@ -377,11 +371,10 @@ def cauchy_green(f: DiscField) -> DiscField:
     return DiscField(f.grid, f.grid.cg_apply(f.values))
 
 
-def schwarz(g: BoundaryField, grid: DiscGrid | None = None,
-            imag_at_zero: float = 0.0) -> DiscField:
+def schwarz(g: BoundaryField, grid: DiscGrid | None = None) -> DiscField:
     """Holomorphic field whose boundary real part equals g (Schwarz integral).
 
-    The free additive constant is fixed by Im(result(0)) = imag_at_zero.
+    The free additive constant is fixed by Im(result(0)) = 0.
     """
     g.require_real("schwarz input")
     if grid is None:
@@ -389,8 +382,7 @@ def schwarz(g: BoundaryField, grid: DiscGrid | None = None,
     if grid.n_theta != g.n_theta:
         raise ValueError("grid angular resolution does not match boundary field")
     half = g.n_theta // 2
-    vals = np.full((grid.n_radial, grid.n_theta),
-                   g.coeff(0) + 1j * imag_at_zero, dtype=complex)
+    vals = np.full((grid.n_radial, grid.n_theta), g.coeff(0), dtype=complex)
     ph = np.exp(1j * np.outer(grid.theta, np.arange(1, half + 1)))  # (nt, half)
     radial = grid.rho[:, None] ** np.arange(1, half + 1)[None, :]   # (R, half)
     c = 2.0 * g.coeffs[half + 1:]

@@ -24,23 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bishop, continuation, geometry, serialize
-from .calculus import DiscGrid, DiscField, cauchy_green, dbar
+from .calculus import DiscGrid, DiscField, cauchy_green, check_grid, dbar
 from .errors import ConfigError, LeviflatError, StepUnderflow
 from .scenarios import SCENARIO_NAMES, make_scenario
-
-DEFAULTS = {
-    "n_theta": 64,
-    "n_rho": 32,
-    "n_taylor": 24,
-    "newton_tol": 1e-10,
-    "glue_tol": 1e-5,
-    "grad_cap": 1000.0,
-    "seed": 0,
-}
-
-KNOWN_KEYS = set(DEFAULTS) | {
-    "scenario", "gamma", "epsilon", "m", "output_dir", "N_taylor"}
-
 
 @dataclass
 class RunConfig:
@@ -56,6 +42,10 @@ class RunConfig:
     grad_cap: float = 1000.0
     output_dir: str = "out"
     seed: int = 0
+
+
+# the config keys: the RunConfig fields and the alias N_taylor of n_taylor
+KNOWN_KEYS = set(RunConfig.__dataclass_fields__) | {"N_taylor"}
 
 
 @dataclass
@@ -77,16 +67,6 @@ class RunReport:
                 "traceback": self.traceback, "stages": self.stages,
                 "checks": self.checks, "diagnostics": self.diagnostics,
                 "manifest": self.manifest}
-
-
-def _check_grid(n_theta: int, n_rho: int):
-    """Refuse a grid DiscGrid cannot build: n_theta must be a power of two
-    >= 16 (the angular FFT grid), n_rho at least 8."""
-    if n_theta < 16 or (n_theta & (n_theta - 1)) != 0:
-        raise ConfigError(
-            f"n_theta = {n_theta} must be a power of two, >= 16")
-    if n_rho < 8:
-        raise ConfigError(f"n_rho = {n_rho} must be at least 8")
 
 
 def load_config(path) -> RunConfig:
@@ -132,11 +112,9 @@ def load_config(path) -> RunConfig:
     if "n_taylor" in raw and int(raw["n_taylor"]) < 8:
         raise ConfigError("resolution 'n_taylor' must be at least 8")
 
-    cfg = dict(DEFAULTS)
-    cfg.update({k: raw[k] for k in raw if k != "scenario"})
-    _check_grid(int(cfg["n_theta"]), int(cfg["n_rho"]))
-    return RunConfig(scenario=name, **{
-        k: cfg[k] for k in cfg if k in RunConfig.__dataclass_fields__})
+    config = RunConfig(**raw)
+    check_grid(int(config.n_theta), int(config.n_rho))
+    return config
 
 
 def _scenario_from(config: RunConfig):
@@ -403,15 +381,15 @@ def _run_levi(config: RunConfig, report: RunReport, quiet) -> int:
     return _emit(report, out_dir, quiet, 0)
 
 
-def collar_samples(scenario, n=32, depth=(0.02, 0.2), seed=0):
-    """(point, tangent) pairs in the collar {-depth_hi < r < -depth_lo}."""
+def collar_samples(scenario, seed=0):
+    """32 (point, tangent) pairs in the collar {-0.2 < r < -0.02}."""
     chart = scenario.chart
     rng = np.random.default_rng(seed)
     out = []
-    while len(out) < n:
+    while len(out) < 32:
         p = rng.uniform(-1.1, 1.1, 4)
         r = chart.defining_r(p)
-        if not (-depth[1] < r < -depth[0]):
+        if not (-0.2 < r < -0.02):
             continue
         t = rng.standard_normal(4)
         t /= np.linalg.norm(t)
@@ -419,18 +397,17 @@ def collar_samples(scenario, n=32, depth=(0.02, 0.2), seed=0):
     return out
 
 
-def df_scan(scenario, A_values=(1, 2, 4, 8, 16, 32),
-            eta_values=tuple(np.round(np.arange(0.1, 1.0, 0.1), 1)),
-            n_samples=32, seed=0):
+def df_scan(scenario, seed=0):
     """Scan the bounded-exhaustion parameters for a plurisubharmonic candidate.
 
-    Returns the best (A, eta) with its Levi-form report over collar samples;
-    passed means min >= -1e-8 and positive at >= 95% of the samples.
+    Tries A in 1, 2, 4, ..., 32 and eta in 0.1, 0.2, ..., 0.9.  Returns the
+    best (A, eta) with its Levi-form report over collar samples; passed
+    means min >= -1e-8 and positive at >= 95% of the samples.
     """
-    samples = collar_samples(scenario, n=n_samples, seed=seed)
+    samples = collar_samples(scenario, seed=seed)
     best = None
-    for A in A_values:
-        for eta in eta_values:
+    for A in (1, 2, 4, 8, 16, 32):
+        for eta in np.round(np.arange(0.1, 1.0, 0.1), 1):
             fn = geometry.df_exhaustion(scenario.chart, float(A), float(eta))
             try:
                 rep = geometry.check_plurisubharmonic(
@@ -478,7 +455,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(
                     f"--resolution expects NT,NR integers, got {args.resolution}")
-            _check_grid(nt, nr)
+            check_grid(nt, nr)
             config.n_theta, config.n_rho = nt, nr
         if args.command == "run" and config.scenario != "model-quadric":
             # only the disc solver uses n_taylor; fail before any stage runs

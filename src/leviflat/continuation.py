@@ -36,6 +36,9 @@ from .geometry import disc_area, levi_form, to_complex, to_real
 
 POLE_TRIM = 0.05
 LEAF_ANGLES = (0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0)
+LEAF_STEP = 5e-3            # RK4 step of integrate_leaf
+MAX_DT = 0.025              # largest continuation step of continue_family
+MIN_DT = 1e-4               # a smaller step ends the branch (StepUnderflow)
 
 
 # --- characteristic line field and leaves --------------------------------------
@@ -99,27 +102,20 @@ class CharacteristicLeaf:
         return member
 
 
-def height_to_t(scenario, v):
-    """Leaf parameter from the surface height coordinate v."""
-    v_p = scenario.surface.to_uv(scenario.poles[0].location)[1]
-    v_q = scenario.surface.to_uv(scenario.poles[-1].location)[1]
-    return (v_p - np.asarray(v)) / (v_p - v_q)
-
-
 def t_to_height(scenario, t):
     v_p = scenario.surface.to_uv(scenario.poles[0].location)[1]
     v_q = scenario.surface.to_uv(scenario.poles[-1].location)[1]
     return v_p - np.asarray(t) * (v_p - v_q)
 
 
-def integrate_leaf(scenario, start, step=5e-3, max_steps=20000,
-                   trim=POLE_TRIM) -> CharacteristicLeaf:
+def integrate_leaf(scenario, start) -> CharacteristicLeaf:
     """Integrate the characteristic field from near pole p to near pole q.
 
     Fourth-order Runge-Kutta on the unit line field with a closed-form
     surface projection after every step; the line field is oriented by
     continuity (initially toward the q pole).
     """
+    step, trim = LEAF_STEP, POLE_TRIM
     surface = scenario.surface
     p_pole, q_pole = scenario.poles[0].location, scenario.poles[-1].location
     z = surface.project(np.asarray(start, dtype=float))
@@ -133,7 +129,7 @@ def integrate_leaf(scenario, start, step=5e-3, max_steps=20000,
             d = -d
         return d
 
-    for n in range(max_steps):
+    for n in range(20000):
         try:
             k1 = rhs(z, prev_dir)
             k2 = rhs(surface.project(z + 0.5 * step * k1), k1)
@@ -149,7 +145,7 @@ def integrate_leaf(scenario, start, step=5e-3, max_steps=20000,
         if n > 10 and np.linalg.norm(z - pts[0]) < 0.5 * step:
             raise ClosedLeafDetected("leaf returned to its starting point")
     else:
-        raise LeafStalled(f"leaf did not reach the target pole in {max_steps} steps")
+        raise LeafStalled("leaf did not reach the target pole in 20000 steps")
     if np.linalg.norm(pts[-1] - q_pole) > 2 * trim:
         raise LeafStalled("leaf terminated away from the target pole")
 
@@ -163,11 +159,11 @@ def integrate_leaf(scenario, start, step=5e-3, max_steps=20000,
     return CharacteristicLeaf(points=pts, u=u, v=v, t=t, v_p=v_p, v_q=v_q)
 
 
-def reference_leaves(scenario, angles=LEAF_ANGLES, t_start=0.02):
+def reference_leaves(scenario):
     """The three pinned leaves, started on a small circle around pole p."""
     leaves = []
-    v0 = t_to_height(scenario, t_start)
-    for ang in angles:
+    v0 = t_to_height(scenario, 0.02)
+    for ang in LEAF_ANGLES:
         # seed with the surface point at height v0 and angle ang
         seed = _point_at(scenario, v0, ang)
         leaf = integrate_leaf(scenario, seed)
@@ -245,10 +241,11 @@ def leaf_crossings(disc: BishopDisc, surface, leaf: CharacteristicLeaf) -> int:
 
 
 def monitor(disc: BishopDisc, scenario, leaves) -> dict:
+    """Per-disc record; mu is the winding bishop_solve already measured."""
     grid = disc.grid
     max_grad = float(np.max(np.abs(grid.dz_apply(disc.values()))))
     return {
-        "mu": maslov_index(disc, scenario.surface),
+        "mu": disc.diagnostics["mu"],
         "area": disc_area(disc.f, scenario.chart.omega),
         "a_min": hopf_coefficient(disc, scenario.chart),
         "max_grad": max_grad,
@@ -257,15 +254,15 @@ def monitor(disc: BishopDisc, scenario, leaves) -> dict:
     }
 
 
-def collar_decay(disc: BishopDisc, chart, rho_range=(0.9, 0.99),
-                 exponent=4.0 / 3.0) -> float:
-    """min over the collar of |r o f| / (1 - rho)^exponent (positive = decay bound)."""
+def collar_decay(disc: BishopDisc, chart) -> float:
+    """min over the collar 0.9 <= rho <= 0.99 of |r o f| / (1 - rho)^(4/3)
+    (positive = decay bound)."""
     grid = disc.grid
-    mask = (grid.rho >= rho_range[0]) & (grid.rho <= rho_range[1])
+    mask = (grid.rho >= 0.9) & (grid.rho <= 0.99)
     if not np.any(mask):
         raise ValueError("no radial nodes in the collar range")
     r_vals = np.abs(chart.defining_r(disc.points()))[mask]
-    denom = (1.0 - grid.rho[mask])[:, None] ** exponent
+    denom = (1.0 - grid.rho[mask])[:, None] ** (4.0 / 3.0)
     return float(np.min(r_vals / denom))
 
 
@@ -302,20 +299,19 @@ def _initial_guess(scenario, leaves, t, grid, n_taylor) -> BishopDisc:
 
 def continue_family(scenario, leaves, t_start, t_stop, grid=None,
                     n_taylor=DEFAULT_N_TAYLOR, newton_tol=1e-10,
-                    max_dt=0.025, min_dt=1e-4, grad_cap_factor=1e3,
                     grad_cap=None, side="p") -> DiscFamily:
     """March the pinned Bishop family from t_start to t_stop (snapped exactly).
 
     Predictor: previous disc's Taylor coefficients.  Step control: halve on
-    solver failure (StepUnderflow below min_dt), grow gently on easy solves;
+    solver failure (StepUnderflow below MIN_DT), grow gently on easy solves;
     each failed step is recorded in DiscFamily.rejected.
-    BlowUp is raised when the disc gradient exceeds grad_cap_factor times its
-    initial value.
+    BlowUp is raised when the disc gradient exceeds grad_cap, or by default
+    1000 times its initial value.
     """
     if grid is None:
         grid = DiscGrid()
     direction = 1.0 if t_stop >= t_start else -1.0
-    dt = max_dt
+    dt = MAX_DT
     t = float(t_start)
     guess = _initial_guess(scenario, leaves, t, grid, n_taylor)
     discs, t_values, monitors, rejected = [], [], [], []
@@ -333,7 +329,7 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
         if grad_ref is None:
             grad_ref = m["max_grad"]
         cap = grad_cap if grad_cap is not None \
-            else grad_cap_factor * max(grad_ref, 1e-12)
+            else 1e3 * max(grad_ref, 1e-12)
         if m["max_grad"] > cap:
             raise BlowUp(m["max_grad"], disc.t)
         discs.append(disc)
@@ -354,15 +350,15 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
                                  "error": type(exc).__name__,
                                  "message": str(exc)})
                 dt *= 0.5
-                if dt < min_dt:
+                if dt < MIN_DT:
                     raise StepUnderflow(
-                        f"continuation step fell below {min_dt} at t = {disc.t}",
+                        f"continuation step fell below {MIN_DT} at t = {disc.t}",
                         rejected)
         iters = nxt.diagnostics.get("newton_iters", 0)
         if iters <= 3:
-            dt = min(max_dt, dt * 1.5)
+            dt = min(MAX_DT, dt * 1.5)
         elif iters > 8:
-            dt = max(min_dt, dt * 0.5)
+            dt = max(MIN_DT, dt * 0.5)
         disc = nxt
     return DiscFamily(discs=discs, t_values=np.asarray(t_values),
                       monitors=monitors, side=side, rejected=rejected)
@@ -371,10 +367,11 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
 # --- gluing and assembly -----------------------------------------------------------
 
 
-def _sample_rings(disc: BishopDisc, radii=(0.3, 0.5, 0.7, 0.9, 0.97, 1.0)):
+def _sample_rings(disc: BishopDisc):
     grid = disc.grid
     pts = disc.points()
-    rows = [int(np.argmin(np.abs(grid.rho - r))) for r in radii]
+    rows = [int(np.argmin(np.abs(grid.rho - r)))
+            for r in (0.3, 0.5, 0.7, 0.9, 0.97, 1.0)]
     return pts[sorted(set(rows))].reshape(-1, 4)
 
 
@@ -392,7 +389,6 @@ class FillingResult:
     monitors: list
     junction_t: float
     glue_distance: float
-    metadata: dict = field(default_factory=dict)
 
     def cloud(self):
         """Point cloud (n, 7): columns (t, rho, theta, x1, y1, x2, y2)."""
@@ -442,14 +438,14 @@ def _disc_tangents(disc: BishopDisc):
     return to_real(dth)
 
 
-def levi_certificate(result: FillingResult, chart, n_samples=40,
-                     n_neighbors=40, seed=0, h_fd=1e-3):
+def levi_certificate(result: FillingResult, chart, n_samples=40):
     """Levi form of the assembled hypersurface at random interior samples.
 
     The hypersurface is reconstructed locally: nearest neighbors of each
     sample give a PCA normal and a quadratic graph fit, whose defining
     function feeds the ambient Levi form in the disc tangent direction (a
-    complex tangent direction of the hypersurface).
+    complex tangent direction of the hypersurface).  Each fit uses at least
+    40 neighbors; the samples are drawn with seed 0.
     """
     n_discs = len(result.discs)
     grid0 = result.discs[0].grid
@@ -463,7 +459,7 @@ def levi_certificate(result: FillingResult, chart, n_samples=40,
                 & (cloud[:, 0] > result.t_values.min() + 0.05)
                 & (cloud[:, 0] < result.t_values.max() - 0.05))
     idx_pool = np.flatnonzero(interior)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     picks = rng.choice(idx_pool, size=min(n_samples, len(idx_pool)),
                        replace=False)
     values = []
@@ -477,7 +473,7 @@ def levi_certificate(result: FillingResult, chart, n_samples=40,
         dist = np.linalg.norm(block - x0, axis=1)
         radius = 0.12
         nb = np.flatnonzero(dist < radius)
-        while len(nb) < n_neighbors and radius < 1.0:
+        while len(nb) < 40 and radius < 1.0:
             radius *= 1.5
             nb = np.flatnonzero(dist < radius)
         Q = block[nb] - x0
@@ -511,6 +507,6 @@ def levi_certificate(result: FillingResult, chart, n_samples=40,
         nX = np.linalg.norm(X)
         if nX < 1e-12:
             raise FrameDegenerate("vanishing disc tangent at a sample point")
-        values.append(levi_form(chart, r_loc, x0, X / nX, h_fd=h_fd,
+        values.append(levi_form(chart, r_loc, x0, X / nX, h_fd=1e-3,
                                 check=False))
     return np.asarray(values)

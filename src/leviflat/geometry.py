@@ -119,39 +119,26 @@ class AmbientChart:
             return self.omega(z)
         return np.broadcast_to(self.omega, np.shape(z)[:-1] + (4, 4))
 
-    def grad_r(self, z, h=DEFAULT_FD_STEP):
+    def grad_r(self, z):
         if self.r_grad is not None:
             return self.r_grad(z)
-        return fd_gradient(self.defining_r, z, h)
+        return fd_gradient(self.defining_r, z)
 
-    def check_invariants(self, samples, rng=None, tol=1e-10):
+    def check_invariants(self, samples):
         """J^2 = -I, taming and closedness checks at sample points."""
         samples = np.atleast_2d(samples)
         J = self.J(samples)
         jj = np.einsum("...ij,...jk->...ik", J, J)
         err = np.max(np.abs(jj + np.eye(J.shape[-1])))
-        if err > tol:
+        if err > 1e-10:
             raise SingularMatrix(f"J^2 + I deviates by {err:.3e}")
-        rng = rng or np.random.default_rng(0)
-        v = rng.standard_normal(samples.shape)
+        v = np.random.default_rng(0).standard_normal(samples.shape)
         om = self.omega_at(samples)
         jv = np.einsum("...ij,...j->...i", J, v)
         tame = np.einsum("...i,...ij,...j->...", v, om, jv)
         if np.min(tame) <= 0:
             raise SingularMatrix("taming condition omega(v, Jv) > 0 violated")
         return {"j_square_error": float(err), "taming_min": float(np.min(tame))}
-
-
-@dataclass
-class TangentVector:
-    base: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.base = np.asarray(self.base, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if not (np.all(np.isfinite(self.base)) and np.all(np.isfinite(self.v))):
-            raise ValueError("tangent vector entries must be finite")
 
 
 def deformation_tensor_values(J_values):
@@ -228,8 +215,6 @@ def _levi_form_step(chart, rho, p, t, h):
 def levi_form(chart: AmbientChart, rho, p, t, h_fd=DEFAULT_FD_STEP,
               check=True):
     """Levi form -d(J* d rho)(X, JX) at p in direction t (constant extension)."""
-    if isinstance(t, TangentVector):
-        p, t = t.base, t.v
     v1 = _levi_form_step(chart, rho, p, t, h_fd)
     if not check:
         return float(v1)
@@ -241,20 +226,19 @@ def levi_form(chart: AmbientChart, rho, p, t, h_fd=DEFAULT_FD_STEP,
     return float((4.0 * v2 - v1) / 3.0)
 
 
-def levi_form_via_disc(chart: AmbientChart, rho, p, t, scale=1e-2,
-                       grid=None):
+def levi_form_via_disc(chart: AmbientChart, rho, p, t):
     """Levi form via a small J-holomorphic probe disc: Delta(rho o f)(0).
 
-    Independent oracle for levi_form; builds the disc with the resolution
-    operator's inverse in coordinates linearly normalized so J(p) = J_st.
+    Independent oracle for levi_form; builds the disc, of scale 1e-2, with
+    the resolution operator's inverse in coordinates linearly normalized so
+    J(p) = J_st.
     """
     from .bishop import probe_disc  # local import, bishop depends on geometry
 
-    if isinstance(t, TangentVector):
-        p, t = t.base, t.v
+    scale = 1e-2
     p = np.asarray(p, dtype=float)
     t = np.asarray(t, dtype=float)
-    f_vals, grid = probe_disc(chart, p, t, scale=scale, grid=grid)
+    f_vals, grid = probe_disc(chart, p, t, scale=scale)
     # f_vals: complex (..., R, n_theta, 2) ambient samples of the disc
     pts = to_real(f_vals)
     g = rho(pts)
@@ -271,18 +255,16 @@ class PshReport:
     positive_fraction: float
 
 
-def check_plurisubharmonic(chart: AmbientChart, rho, samples,
-                           tol=-1e-8, h_fd=DEFAULT_FD_STEP) -> PshReport:
-    """Evaluate the Levi form on (point, tangent) samples; pass iff min >= tol."""
+def check_plurisubharmonic(chart: AmbientChart, rho, samples) -> PshReport:
+    """Evaluate the Levi form on (point, tangent) samples; pass iff min >= -1e-8."""
     if len(samples) == 0:
         raise ValueError("samples must be nonempty")
-    vals = np.array([
-        levi_form(chart, rho, p, t, h_fd=h_fd) for p, t in samples])
+    vals = np.array([levi_form(chart, rho, p, t) for p, t in samples])
     imin = int(np.argmin(vals))
     return PshReport(
         min_value=float(vals[imin]),
         argmin=samples[imin],
-        passed=bool(vals[imin] >= tol),
+        passed=bool(vals[imin] >= -1e-8),
         values=vals,
         positive_fraction=float(np.mean(vals > 0)),
     )

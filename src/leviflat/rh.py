@@ -1,20 +1,16 @@
 """Linear Riemann-Hilbert solver on the unit disc.
 
-Solves dbar w - b w - c conj(w) = h with the circle boundary condition
-Re(conj(lambda) w) = g, for boundary coefficients lambda of nonnegative
-winding number (the index kappa).  The pure boundary problem is reduced by a
-canonical function: factoring lambda = e^{i kappa theta} lambda_0 with
-lambda_0 of winding zero, X = exp(i Schwarz(arg lambda_0)) makes
-conj(lambda_0) X positive on the circle, which turns the condition into a
-Schwarz problem.  Lower-order terms are absorbed by a fixed-point sweep
-through the Cauchy-Green transform, with a dense real linear solve as a
-fallback when the sweep does not contract.
+Solves the pure boundary problem: w holomorphic on the disc with
+Re(conj(lambda) w) = g on the circle, for boundary coefficients lambda of
+nonnegative winding number (the index kappa).  Factoring
+lambda = e^{i kappa theta} lambda_0 with lambda_0 of winding zero, the
+canonical function X = exp(i Schwarz(arg lambda_0)) makes conj(lambda_0) X
+positive on the circle, which turns the condition into a Schwarz problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -32,20 +28,14 @@ from .errors import (
     NonzeroIndex,
 )
 
-SWEEP_TOL = 1e-11
-MAX_SWEEPS = 200
-
 
 @dataclass
 class RHProblem:
-    """dbar w = b w + c conj(w) + h on D, Re(conj(lambda) w) = g on the circle."""
+    """dbar w = 0 on D, Re(conj(lambda) w) = g on the circle."""
 
     grid: DiscGrid
     lam: BoundaryField
     g: BoundaryField
-    b: Optional[DiscField] = None
-    c: Optional[DiscField] = None
-    h: Optional[DiscField] = None
     kappa: int = field(init=False)
 
     def __post_init__(self):
@@ -57,12 +47,6 @@ class RHProblem:
         self.lam = BoundaryField.from_samples(samples / mags)
         self.g.require_real("RH boundary data g")
         self.kappa = winding_number(self.lam)
-        for name in ("b", "c", "h"):
-            if getattr(self, name) is None:
-                setattr(self, name, DiscField.zeros(self.grid))
-
-    def coefficient_norm(self):
-        return self.b.sup_norm() + self.c.sup_norm()
 
 
 @dataclass
@@ -72,7 +56,6 @@ class RHSolutionFamily:
     particular: DiscField
     basis: list
     kappa: int
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dimension(self):
@@ -121,130 +104,40 @@ def homogeneous_basis(kappa: int, grid: DiscGrid | None = None) -> list:
 
 
 def _split_index(lam: BoundaryField, kappa: int, grid: DiscGrid):
-    """Factor lambda = e^{i kappa theta} lambda_0 and build X, P = conj(lam0) X."""
+    """Factor lambda = e^{i kappa theta} lambda_0; returns X and conj(lam0) X."""
     theta = 2.0 * np.pi * np.arange(lam.n_theta) / lam.n_theta
     samples = lam.samples()
     samples = samples / np.abs(samples)
     lam0 = samples * np.exp(-1j * kappa * theta)
     X = canonical_function(BoundaryField.from_samples(lam0), grid)
     P = np.real(np.conj(lam0) * X.boundary_values)
-    return lam0, X, P
+    return X, P
 
 
-def _holomorphic_solution(lam: BoundaryField, g_samples, kappa, grid,
-                          X=None, P=None):
-    """Particular holomorphic w with Re(conj(lambda) w) = g on the circle."""
-    if X is None:
-        _, X, P = _split_index(lam, kappa, grid)
-    gt = BoundaryField.from_samples((g_samples / P).astype(complex))
-    gt.coeffs = 0.5 * (gt.coeffs + np.conj(gt.coeffs[::-1]))
-    q = schwarz(gt, grid)
-    zk = grid.zeta ** kappa
-    return DiscField(grid, X.values * zk * q.values)
-
-
-def _sweep(problem: RHProblem, X, P, w0=None):
-    """Fixed point of w = w_h(w) + T(b w + c conj(w) + h)."""
-    from .calculus import cauchy_green
-
-    grid = problem.grid
-    g_samples = np.real(problem.g.samples())
-    lam_samples = problem.lam.samples()
-    w = DiscField.zeros(grid) if w0 is None else w0
-    for _ in range(MAX_SWEEPS):
-        rhs = problem.b * w + DiscField(grid, problem.c.values * np.conj(w.values)) \
-            + problem.h
-        v = cauchy_green(rhs)
-        gt = g_samples - np.real(np.conj(lam_samples) * v.boundary_values)
-        u = _holomorphic_solution(problem.lam, gt, problem.kappa, grid, X, P)
-        w_new = u + v
-        change = float(np.max(np.abs(w_new.values - w.values)))
-        w = w_new
-        if change <= SWEEP_TOL:
-            return w
-    raise NoContraction(f"no convergence after {MAX_SWEEPS} sweeps")
-
-
-def _dense_solve(problem: RHProblem, X, P):
-    """Fallback: solve the affine fixed-point equation as a real linear system."""
-    grid = problem.grid
-    n = grid.n_radial * grid.n_theta
-
-    def affine_map(values):
-        from .calculus import cauchy_green
-        w = DiscField(grid, values)
-        rhs = problem.b * w + DiscField(grid, problem.c.values * np.conj(w.values)) \
-            + problem.h
-        v = cauchy_green(rhs)
-        gt = np.real(problem.g.samples()) \
-            - np.real(np.conj(problem.lam.samples()) * v.boundary_values)
-        u = _holomorphic_solution(problem.lam, gt, problem.kappa, grid, X, P)
-        return (u + v).values
-
-    zero_image = affine_map(np.zeros((grid.n_radial, grid.n_theta), complex))
-
-    def linear_part(x_real):
-        vals = (x_real[:n] + 1j * x_real[n:]).reshape(grid.n_radial, grid.n_theta)
-        out = affine_map(vals) - zero_image
-        return np.concatenate([out.real.ravel(), out.imag.ravel()])
-
-    M = np.empty((2 * n, 2 * n))
-    eye = np.eye(2 * n)
-    for j in range(2 * n):
-        M[:, j] = linear_part(eye[j])
-    rhs = np.concatenate([zero_image.real.ravel(), zero_image.imag.ravel()])
-    sol = np.linalg.solve(np.eye(2 * n) - M, rhs)
-    vals = (sol[:n] + 1j * sol[n:]).reshape(grid.n_radial, grid.n_theta)
-    return DiscField(grid, vals)
-
-
-def solve_rh(problem: RHProblem, normalization: str | None = "ImAtOne"
-             ) -> RHSolutionFamily:
+def solve_rh(problem: RHProblem) -> RHSolutionFamily:
     """Solve the RH problem; returns a particular solution and basis.
 
-    With normalization "ImAtOne" the free constants are fixed so that
-    Im w(1) = 0 and the remaining 2 kappa homogeneous coefficients are zero
-    (a gauge choice recorded in the metadata).
+    The particular solution is w = X zeta^kappa q, q holomorphic with
+    Re q = g / P on the circle; the free constants are fixed so that
+    Im w(1) = 0 and the remaining 2 kappa homogeneous coefficients are zero.
+    The basis is the homogeneous basis transported by X.
     """
     if problem.kappa < 0:
         raise NegativeIndexUnsupported(f"index {problem.kappa} < 0")
     grid = problem.grid
-    _, X, P = _split_index(problem.lam, problem.kappa, grid)
+    X, P = _split_index(problem.lam, problem.kappa, grid)
+    gt = BoundaryField.from_samples(
+        (np.real(problem.g.samples()) / P).astype(complex))
+    gt.coeffs = 0.5 * (gt.coeffs + np.conj(gt.coeffs[::-1]))
+    q = schwarz(gt, grid)
+    w = DiscField(grid, X.values * grid.zeta ** problem.kappa * q.values)
+    basis = [DiscField(grid, X.values * b_j.values)
+             for b_j in homogeneous_basis(problem.kappa, grid)]
 
-    fallback = False
-    try:
-        w = _sweep(problem, X, P)
-    except NoContraction:
-        fallback = True
-        w = _dense_solve(problem, X, P)
-
-    # homogeneous basis transported by the canonical reduction, then corrected
-    # for the lower-order terms (u = X b_j + particular of h' = b u0 + c conj u0)
-    basis = []
-    has_lower = problem.coefficient_norm() > 0
-    for b_j in homogeneous_basis(problem.kappa, grid):
-        u0 = DiscField(grid, X.values * b_j.values)
-        if has_lower:
-            h_corr = DiscField(
-                grid, problem.b.values * u0.values
-                + problem.c.values * np.conj(u0.values))
-            corr_problem = RHProblem(
-                grid=grid, lam=problem.lam,
-                g=BoundaryField.from_samples(np.zeros(grid.n_theta, complex)),
-                b=problem.b, c=problem.c, h=h_corr)
-            v = _sweep(corr_problem, X, P)
-            u0 = u0 + v
-        basis.append(u0)
-
-    metadata = {"normalization": normalization or "None",
-                "gauge": "non-normalized homogeneous coefficients set to zero",
-                "dense_fallback": fallback}
-    if normalization == "ImAtOne":
-        b0 = basis[0]
-        denom = np.imag(b0.eval_boundary([0.0])[0])
-        if abs(denom) < 1e-10:
-            raise NoContraction("ImAtOne normalization is degenerate for this lambda")
-        coef = np.imag(w.eval_boundary([0.0])[0]) / denom
-        w = w - DiscField(grid, coef * b0.values)
-    return RHSolutionFamily(particular=w, basis=basis, kappa=problem.kappa,
-                            metadata=metadata)
+    b0 = basis[0]
+    denom = np.imag(b0.eval_boundary([0.0])[0])
+    if abs(denom) < 1e-10:
+        raise NoContraction("ImAtOne normalization is degenerate for this lambda")
+    coef = np.imag(w.eval_boundary([0.0])[0]) / denom
+    w = w - DiscField(grid, coef * b0.values)
+    return RHSolutionFamily(particular=w, basis=basis, kappa=problem.kappa)

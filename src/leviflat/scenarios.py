@@ -19,20 +19,13 @@ Catalog:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .bishop import EllipticPointModel, SurfacePatch
 from .errors import ConfigError
-from .geometry import (
-    AmbientChart,
-    J_ST,
-    STANDARD_OMEGA,
-    j_from_deformation,
-    to_complex,
-    to_real,
-)
+from .geometry import AmbientChart, J_ST, STANDARD_OMEGA, j_from_deformation
 
 PERTURBATION_MATRIX = np.array([
     [0.35, 0.20 + 0.10j],
@@ -140,8 +133,10 @@ def _ball_type(name: str, m: int, A_fn=None, eps: float = 0.0) -> Scenario:
         pts[..., 3] = 0.0
         return pts
 
-    def area_elements(n_phi=64, n_alpha=128):
-        nodes, weights = np.polynomial.legendre.leggauss(n_phi)
+    def area_elements():
+        # 64 Gauss-Legendre nodes in phi per hemisphere, 128 angles alpha
+        n_alpha = 128
+        nodes, weights = np.polynomial.legendre.leggauss(64)
         alpha = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
         dalpha = 2.0 * np.pi / n_alpha
         panels = []
@@ -279,7 +274,15 @@ def _model_quadric(gamma: float) -> Scenario:
 
 
 def make_scenario(name: str, **params) -> Scenario:
-    """Build a catalog scenario by name; unknown names raise ConfigError."""
+    """Build a catalog scenario by name.  Unknown names, and any parameter
+    other than eps (perturbed-ball) or gamma (model-quadric), raise
+    ConfigError."""
+    if name not in SCENARIO_NAMES:
+        raise ConfigError(f"unknown scenario '{name}'")
+    allowed = {"perturbed-ball": {"eps"}, "model-quadric": {"gamma"}}
+    unknown = sorted(set(params) - allowed.get(name, set()))
+    if unknown:
+        raise ConfigError(f"scenario '{name}' takes no parameters {unknown}")
     if name == "ball":
         return _ball_type("ball", m=1)
     if name == "weak-m2":
@@ -290,13 +293,11 @@ def make_scenario(name: str, **params) -> Scenario:
             raise ConfigError(f"perturbed-ball needs eps in [0, 0.1], got {eps}")
         return _ball_type("perturbed-ball", m=1, A_fn=_perturbation_A(eps),
                           eps=eps)
-    if name == "model-quadric":
-        gamma = float(params.get("gamma", 0.5))
-        if not (0 <= gamma < 1):
-            raise ConfigError(
-                f"model-quadric needs an elliptic gamma in [0, 1), got {gamma}")
-        return _model_quadric(gamma)
-    raise ConfigError(f"unknown scenario '{name}'")
+    gamma = float(params.get("gamma", 0.5))
+    if not (0 <= gamma < 1):
+        raise ConfigError(
+            f"model-quadric needs an elliptic gamma in [0, 1), got {gamma}")
+    return _model_quadric(gamma)
 
 
 SCENARIO_NAMES = ("ball", "weak-m2", "perturbed-ball", "model-quadric")

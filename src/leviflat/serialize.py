@@ -102,8 +102,8 @@ def family_to_dict(result, scenario_name, resolution, extra=None):
     return d
 
 
-def write_family(path, result, scenario_name, resolution, extra=None):
-    write_json(path, family_to_dict(result, scenario_name, resolution, extra))
+def write_family(path, result, scenario_name, resolution):
+    write_json(path, family_to_dict(result, scenario_name, resolution))
 
 
 def write_cloud(path, result):

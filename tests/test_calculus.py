@@ -25,13 +25,12 @@ def grid():
 
 class TestGrid:
     def test_area_quadrature_exact(self, grid):
-        assert grid.integrate(np.ones_like(grid.zeta)) == pytest.approx(np.pi,
-                                                                        abs=1e-13)
+        assert np.sum(grid.area_weights) == pytest.approx(np.pi, abs=1e-13)
 
     def test_moment_quadrature(self, grid):
         # int |z|^2 dA = pi/2
-        assert grid.integrate(np.abs(grid.zeta) ** 2) == pytest.approx(
-            np.pi / 2, abs=1e-13)
+        assert np.sum(np.abs(grid.zeta) ** 2 * grid.area_weights) \
+            == pytest.approx(np.pi / 2, abs=1e-13)
 
     def test_boundary_ring_has_zero_weight(self, grid):
         assert np.all(grid.area_weights[-1] == 0.0)

@@ -85,11 +85,6 @@ class TestLeaves:
     def test_three_reference_leaves(self, leaves):
         assert len(leaves) == 3
 
-    def test_height_parameter_roundtrip(self, ball):
-        t = np.array([0.1, 0.5, 0.9])
-        v = C.t_to_height(ball, t)
-        assert np.allclose(C.height_to_t(ball, v), t)
-
     def test_pinset_on_surface(self, ball, leaves):
         pins = C.make_pinset(ball, leaves, 0.4)
         assert np.max(np.abs(ball.surface.rho_pair(pins.point))) < 1e-10

@@ -101,13 +101,6 @@ class TestLeviForm:
                           np.array([1.0, 0, 0, 0]))
         assert abs(val) < 1e-8
 
-    def test_tangent_vector_input(self):
-        chart = standard_chart()
-        rho = lambda z: z[..., 0] ** 2 + z[..., 1] ** 2
-        tv = G.TangentVector(np.zeros(4), np.array([1.0, 0, 0, 0]))
-        assert G.levi_form(chart, rho, None, tv) == pytest.approx(4.0,
-                                                                  abs=1e-8)
-
     def test_via_disc_cross_check(self):
         chart = perturbed_chart()
         rho = lambda z: (z[..., 0] ** 2 + 2 * z[..., 1] ** 2

@@ -32,8 +32,7 @@ class TestCatalog:
     def test_zero_deformation(self, name, flat):
         # A = 0 on every chart of a flat scenario lets the disc solvers skip Psi
         sc = make_scenario(name)
-        charts = [sc.chart] + [pole.model.chart for pole in sc.poles] \
-            + [B.dilate(pole.model, 0.25).chart for pole in sc.poles]
+        charts = [sc.chart] + [pole.model.chart for pole in sc.poles]
         pts = np.random.default_rng(3).uniform(-0.7, 0.7, (64, 4))
         assert [bool(c.deformation_at(pts).any()) for c in charts] \
             == [not flat] * len(charts)
@@ -41,6 +40,14 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             make_scenario("donut")
+
+    @pytest.mark.parametrize("name,params", [
+        ("perturbed-ball", {"epsilon": 0.01}), ("ball", {"bogus": 1}),
+        ("ball", {"eps": 0.01}), ("weak-m2", {"gamma": 0.5}),
+        ("model-quadric", {"eps": 0.01})])
+    def test_unknown_parameter(self, name, params):
+        with pytest.raises(ConfigError, match=next(iter(params))):
+            make_scenario(name, **params)
 
     def test_parameter_ranges(self):
         with pytest.raises(ConfigError):
