@@ -3,9 +3,9 @@
 Near an elliptic complex point the surface is the graph
 x2 = |z1|^2 + gamma Re(z1^2) with 0 <= gamma < 1.  Its attached analytic
 discs have boundaries on the ellipses |z1|^2 + gamma Re(z1^2) = r, and the
-conformal maps of the disc onto those ellipses are computed by an adaptive
-Theodorsen iteration.  The resulting one-parameter family shrinks onto the
-elliptic point as r -> 0.
+conformal maps of the disc onto those ellipses are given in closed form by
+elliptic functions (Szego 1950).  The resulting one-parameter family shrinks
+onto the elliptic point as r -> 0.
 """
 
 import numpy as np

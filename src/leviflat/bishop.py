@@ -3,11 +3,12 @@
 Complex points of a real two-sphere are classified by the invariant gamma of
 the normal form z2 = z1 conj(z1) + gamma Re(z1^2); near an elliptic point
 (gamma < 1) the model disc family consists of conformal maps onto the
-sublevel ellipses of P(z) = |z|^2 + gamma Re(z^2), computed by Theodorsen
-iteration.  J-holomorphy is enforced through the resolution operator
-Psi: f -> h = f + T(A(f) dbar(conj f)), whose inverse is a contraction for
-small deformation tensors; the Bishop solver runs Gauss-Newton on the Taylor
-coefficients of the holomorphic unknown h with a three-point boundary gauge.
+sublevel ellipses of P(z) = |z|^2 + gamma Re(z^2), given in closed form by
+Szego's elliptic-function formula.  J-holomorphy is enforced through the
+resolution operator Psi: f -> h = f + T(A(f) dbar(conj f)), whose inverse is
+a contraction for small deformation tensors; the Bishop solver runs
+Gauss-Newton on the Taylor coefficients of the holomorphic unknown h with a
+three-point boundary gauge.
 Its residual goes through Psi^{-1}; its Jacobian is that of the standard
 structure (Psi^{-1} left out), exact where A = 0 and an O(|A|) approximation
 otherwise.
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import elliprf, ellipk
 
-from .calculus import BoundaryField, DiscField, DiscGrid, conjugate
+from .calculus import DiscField, DiscGrid
 from .errors import (
     AdaptationFailure,
     ConfigError,
@@ -30,13 +32,13 @@ from .errors import (
     NewtonStalled,
     NoContraction,
     ResidualTooLarge,
-    TheodorsenDiverged,
+    Underresolved,
     WindingChanged,
 )
 from .geometry import AmbientChart, to_complex, to_real
 
 DEFAULT_N_TAYLOR = 24
-THEODORSEN_N = 512          # initial boundary sampling of ellipse_map
+MAX_ELLIPSE_N = 2 ** 18     # most boundary samples ellipse_map takes
 
 
 # --- surface patches and complex-point models ---------------------------------
@@ -146,85 +148,57 @@ def validate_adapted(model: EllipticPointModel) -> dict:
             "quadric_ratios": ratios, "passed": True}
 
 
-# --- Theodorsen conformal map onto the model ellipse ---------------------------
+# --- Szego's closed-form conformal map onto the model ellipse -----------------
 
 
-def ellipse_map(gamma: float, r: float, phi_start=None):
+def ellipse_map(gamma: float, r: float):
     """Conformal map of the unit disc onto the ellipse {P < r}, P = |z|^2 + gamma Re z^2.
 
-    Returns (phi, coeffs): the boundary correspondence phi(theta_j) and the
-    Taylor coefficients of the map, normalized by z(0) = 0, z'(0) > 0.
-    Boundary polar form R(phi) = sqrt(r / (1 + gamma cos 2 phi)); the
-    correspondence is the Theodorsen fixed point phi = theta + K(log R(phi)),
-    K the circle conjugation operator.
-
-    phi_start, the phi of an earlier call (n_theta * 2^k <= 32 n_theta
-    samples, n_theta = THEODORSEN_N), warm-starts the iteration at its
-    sampling; the fixed point, the tail test and the trim still run at
-    this r.  K drops the constant log r, so phi does not depend on r and a
-    warm start along r takes one step.
+    Returns (phi, coeffs): the unwrapped polar angle phi of z(e^{i theta_j})
+    at the n samples theta_j, and the Taylor coefficients, normalized by
+    z(0) = 0, z'(0) > 0.  Szego's closed form (Amer. Math. Monthly 57 (1950)
+    474-478): z(zeta) = i c sin(pi/(2K) sn^{-1}(zeta/sqrt(k); k)), where the
+    semi-axes a = sqrt(r/(1+gamma)), b = sqrt(r/(1-gamma)) give c^2 = b^2 - a^2
+    and the nome q = ((b-a)/(b+a))^2, k = (theta_2(q)/theta_3(q))^2 (DLMF
+    22.2.2), and sn^{-1}(x; k) = x R_F(1-x^2, 1-k^2 x^2, 1) (DLMF 19.25.5).
+    zeta = +-1 lie on the cut of R_F, so z is sampled at theta_j + pi/n; other
+    branch jumps swap u and 2K - u, which sin(pi u/2K) does not see.  n
+    doubles from 512 until the negative modes are below 1e-9 and the
+    truncated boundary lies on {P = r} to 1e-8.
     """
     if not (0 <= gamma < 1):
         raise NegativeGamma(f"gamma = {gamma} outside the elliptic range [0, 1)")
     if r <= 0:
         raise ValueError("r must be positive")
-    n_theta = THEODORSEN_N
-    phi = (2.0 * np.pi * np.arange(n_theta) / n_theta if phi_start is None
-           else np.asarray(phi_start, dtype=float))
-    n, k = len(phi), len(phi) // n_theta
-    if n % n_theta or not 1 <= k <= 32 or k & (k - 1):
-        raise ValueError(f"phi_start has {n} samples, not n_theta * 2^k "
-                         f"<= {32 * n_theta} (n_theta = {n_theta})")
-
-    def fixed_point(n, phi):
-        theta = 2.0 * np.pi * np.arange(n) / n
-        damping = 1.0
-        prev_change = np.inf
-        # escalating damping handles maps outside the epsilon-condition regime
-        for _ in range(1600):
-            log_R = 0.5 * np.log(r / (1.0 + gamma * np.cos(2.0 * phi)))
-            conj = conjugate(BoundaryField.from_samples(log_R.astype(complex)))
-            phi_new = theta + np.real(conj.samples())
-            change = float(np.max(np.abs(phi_new - phi)))
-            if change > prev_change and damping > 1.0 / 32.0:
-                damping *= 0.5
-            phi = phi + damping * (phi_new - phi)
-            prev_change = change
-            if change <= 1e-12:
-                return phi
-        raise TheodorsenDiverged("no fixed point after 1600 iterations")
-
-    # eccentric ellipses have slowly decaying map coefficients; refine the
-    # sampling until the aliased negative-mode mass is negligible
+    n = 512
+    if gamma == 0:                        # the disc itself
+        return 2.0 * np.pi * np.arange(n) / n, np.array([0.0, np.sqrt(r)])
+    a, b = np.sqrt(r / (1.0 + gamma)), np.sqrt(r / (1.0 - gamma))
+    q = ((b - a) / (b + a)) ** 2
+    j = np.arange(30)
+    k = (2.0 * q ** 0.25 * np.sum(q ** (j * (j + 1)))
+         / (1.0 + 2.0 * np.sum(q ** (j[1:] ** 2)))) ** 2
+    c, K = np.sqrt(b * b - a * a), ellipk(k * k)
     while True:
-        phi = fixed_point(n, phi)
-        boundary = np.sqrt(r / (1.0 + gamma * np.cos(2.0 * phi))) \
-            * np.exp(1j * phi)
-        F = np.fft.fft(boundary) / n
+        x = np.exp(1j * np.pi * (2 * np.arange(n) + 1) / n) / np.sqrt(k)
+        z = 1j * c * np.sin(np.pi / (2.0 * K) * x
+                            * elliprf(1 - x * x, 1 - k * k * x * x, 1))
+        F = np.fft.fft(z) / n * np.exp(-1j * np.pi * np.arange(n) / n)
+        coeffs = F[:n // 2] * np.exp(-1j * np.angle(F[1]) * np.arange(n // 2))
+        coeffs[0] = 0.0                   # z(0) = 0; the phase gives z'(0) > 0
+        boundary = n * np.fft.ifft(coeffs, n)
         tail = np.max(np.abs(F[n // 2 + 1:]))
-        if tail <= 1e-9:
+        residual = np.max(np.abs(quadric_height(gamma)(boundary) - r))
+        if tail <= 1e-9 and residual <= 1e-8:
             break
-        if n >= 32 * n_theta:
-            raise TheodorsenDiverged(
-                f"boundary values are not holomorphic "
-                f"(negative-mode mass {tail:.3e} at {n} samples)")
-        # warm start on the doubled grid: phi - theta is periodic and smooth
-        # (its n + 1 modes zero-padded to the 2n + 1 of the doubled grid)
-        offset = BoundaryField.from_samples(
-            (phi - 2.0 * np.pi * np.arange(n) / n).astype(complex))
-        padded = np.zeros(2 * n + 1, dtype=complex)
-        padded[n // 2:n // 2 + n + 1] = offset.coeffs
+        if n >= MAX_ELLIPSE_N:
+            raise Underresolved(
+                f"ellipse map (gamma {gamma}, r {r}): negative-mode mass "
+                f"{tail:.3e}, boundary residual {residual:.3e} at {n} samples")
         n *= 2
-        phi = 2.0 * np.pi * np.arange(n) / n \
-            + np.real(BoundaryField(n, padded).samples())
-
-    coeffs = F[:n // 2].copy()
-    coeffs[0] = 0.0                       # z(0) = 0
-    alpha = -np.angle(coeffs[1])          # z'(0) > 0
-    coeffs *= np.exp(1j * alpha * np.arange(len(coeffs)))
     coeffs = np.real_if_close(coeffs, tol=1e3)
     ncut = max(8, int(np.max(np.nonzero(np.abs(coeffs) > 1e-15)[0])) + 1)
-    return phi, coeffs[:ncut]
+    return np.unwrap(np.angle(boundary)), coeffs[:ncut]
 
 
 # --- Bishop discs ---------------------------------------------------------------
@@ -255,7 +229,7 @@ class BishopDisc:
         return self.points()[-1]
 
 
-def model_family(gamma: float, r_list, grid: DiscGrid | None = None) -> list:
+def model_family(gamma: float, r_list, grid: DiscGrid) -> list:
     """The one-parameter family of model discs (z_{1,r}(zeta), r) on the quadric."""
     if classify_point(gamma) != "elliptic":
         raise NegativeGamma(
@@ -263,13 +237,10 @@ def model_family(gamma: float, r_list, grid: DiscGrid | None = None) -> list:
     r_list = np.asarray(r_list, dtype=float)
     if np.any(r_list <= 0) or np.any(np.diff(r_list) <= 0):
         raise ValueError("r_list must be positive and increasing")
-    if grid is None:
-        grid = DiscGrid()
     P = quadric_height(gamma)
     out = []
-    phi = None      # warm start: the correspondence does not depend on r
     for r in r_list:
-        phi, coeffs = ellipse_map(gamma, float(r), phi_start=phi)
+        _, coeffs = ellipse_map(gamma, float(r))
         f1 = DiscField.from_taylor(grid, coeffs)
         f2 = DiscField.from_taylor(grid, [complex(r)])
         bres = float(np.max(np.abs(P(f1.boundary_values) - r)))

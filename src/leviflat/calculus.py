@@ -255,14 +255,14 @@ class DiscField:
 
     @classmethod
     def from_taylor(cls, grid, coeffs):
-        """Holomorphic field sum_k c_k zeta^k sampled on the grid."""
+        """Holomorphic field sum_k c_k zeta^k sampled on the grid: c_k rho^k
+        lands on angular mode k mod n_theta, then one inverse FFT."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        vals = np.zeros((grid.n_radial, grid.n_theta), dtype=complex)
-        zk = np.ones_like(grid.zeta)
-        for c in coeffs:
-            vals += c * zk
-            zk = zk * grid.zeta
-        return cls(grid, vals)
+        n, size = grid.n_theta, len(coeffs)
+        modes = np.zeros((grid.n_radial, -(-size // n) * n), dtype=complex)
+        modes[:, :size] = coeffs * grid.rho[:, None] ** np.arange(size)
+        modes = modes.reshape(grid.n_radial, -1, n).sum(axis=1)
+        return cls(grid, n * np.fft.ifft(modes, axis=-1))
 
     @property
     def boundary_values(self):

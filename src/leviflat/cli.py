@@ -322,6 +322,9 @@ def run_leaf(config: RunConfig, quiet=False) -> int:
 def _run_leaf(config: RunConfig, report: RunReport, quiet) -> int:
     out_dir = config.output_dir
     scenario = _scenario_from(config)
+    if len(scenario.poles) != 2:
+        raise ConfigError(f"leaf needs a sphere with two complex points; "
+                          f"{config.scenario} has {len(scenario.poles)}")
     t0 = time.time()
     leaves = continuation.reference_leaves(scenario)
     report.stage("integrate_leaf", "PASS", time.time() - t0)

@@ -61,10 +61,6 @@ class AdaptationFailure(LeviflatError):
     """Chart fails an adapted-coordinates normalization clause."""
 
 
-class TheodorsenDiverged(LeviflatError):
-    """Theodorsen boundary-correspondence iteration did not converge."""
-
-
 class NewtonStalled(LeviflatError):
     """Gauss-Newton step produced no residual decrease after backtracking."""
 

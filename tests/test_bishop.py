@@ -12,7 +12,7 @@ from leviflat.errors import (
     ConfigError,
     NegativeGamma,
     NoContraction,
-    TheodorsenDiverged,
+    Underresolved,
 )
 from leviflat.scenarios import make_scenario
 
@@ -86,7 +86,7 @@ class TestEllipseMap:
         assert z1 == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-10)
 
     @pytest.mark.parametrize("gamma,r", [(0.0, 1.0), (0.3, 0.5), (0.5, 1.0),
-                                         (0.8, 0.25)])
+                                         (0.8, 0.25), (0.85, 1.0), (0.9, 0.5)])
     def test_boundary_on_ellipse(self, gamma, r):
         _, c = B.ellipse_map(gamma, r)
         th = np.linspace(0, 2 * np.pi, 181)
@@ -99,6 +99,21 @@ class TestEllipseMap:
         assert abs(c[0]) < 1e-13          # z(0) = 0
         assert np.imag(c[1]) == pytest.approx(0.0, abs=1e-12)
         assert np.real(c[1]) > 0          # z'(0) > 0
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.7])
+    def test_scaling_in_r(self, gamma):
+        """The ellipse {P < r} is sqrt(r) times {P < 1}, and so is its map."""
+        _, unit = B.ellipse_map(gamma, 1.0)
+        for r in (0.1, 0.5, 2.0):
+            _, c = B.ellipse_map(gamma, r)
+            m = min(len(c), len(unit))
+            assert np.max(np.abs(c[:m] - np.sqrt(r) * unit[:m])) <= 1e-13
+
+    def test_sampling_cap(self, monkeypatch):
+        # gamma 0.7 needs 2048 samples
+        monkeypatch.setattr(B, "MAX_ELLIPSE_N", 1024)
+        with pytest.raises(Underresolved, match="1024 samples"):
+            B.ellipse_map(0.7, 1.0)
 
     def test_invalid_parameters(self):
         with pytest.raises(NegativeGamma):
@@ -131,40 +146,6 @@ class TestModelFamily:
     def test_monotone_r_required(self, grid):
         with pytest.raises(ValueError):
             B.model_family(0.3, [0.5, 0.25], grid)
-
-    @pytest.mark.parametrize("gamma", [0.5, 0.7])
-    def test_warm_start_along_r(self, grid, gamma, monkeypatch):
-        """Each radius after the first starts from the previous phi and
-        converges in one conjugation, to the coefficients of a cold solve."""
-        r_list = np.linspace(0.1, 1.0, 10)
-        conjugations = []
-        conjugate, ellipse_map = B.conjugate, B.ellipse_map
-
-        def counting_conjugate(field):
-            conjugations[-1] += 1
-            return conjugate(field)
-
-        def counting_ellipse_map(*args, **kwargs):
-            conjugations.append(0)
-            return ellipse_map(*args, **kwargs)
-
-        monkeypatch.setattr(B, "conjugate", counting_conjugate)
-        monkeypatch.setattr(B, "ellipse_map", counting_ellipse_map)
-        discs = B.model_family(gamma, r_list, grid)
-        monkeypatch.undo()
-        assert len(conjugations) == len(r_list)
-        assert conjugations[0] > 1
-        assert conjugations[1:] == [1] * (len(r_list) - 1)
-        for disc, r in zip(discs, r_list):
-            _, cold = B.ellipse_map(gamma, float(r))
-            assert len(disc.h_coeffs[0]) == len(cold)
-            assert np.max(np.abs(disc.h_coeffs[0] - cold)) <= 1e-13
-
-    @pytest.mark.parametrize("n", [0, 500, 3 * 512, 64 * 512])
-    def test_warm_start_length_checked(self, n):
-        # phi_start must hold n_theta * 2^k <= 32 n_theta samples
-        with pytest.raises(ValueError, match="phi_start"):
-            B.ellipse_map(0.5, 1.0, phi_start=np.zeros(n))
 
 
 class TestPsiOperator:

@@ -204,6 +204,17 @@ class TestMain:
         labels = {line.split(",")[0] for line in lines[1:]}
         assert labels == {"0", "1", "2"}
 
+    def test_leaf_needs_two_complex_points(self, tmp_path):
+        cfg = write_config(tmp_path, scenario="model-quadric")
+        out_dir = tmp_path / "out"
+        assert cli.main(["--out", str(out_dir), "--quiet", "leaf", cfg]) == 2
+        assert (out_dir / "FAILED").exists()
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["status"] == "FAIL"
+        assert report["error"] == ("ConfigError: leaf needs a sphere with two "
+                                   "complex points; model-quadric has 1")
+        assert "in _run_leaf" in report["traceback"]
+
     def test_failed_marker_cleared_on_success(self, tmp_path):
         cfg = write_config(tmp_path, scenario="model-quadric")
         out_dir = tmp_path / "out"

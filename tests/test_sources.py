@@ -1,6 +1,7 @@
-"""Every module of the package compiles without warnings, and every
+"""Every module of the package compiles without warnings, every
 module-level function and class is reached from the package, a demo or an
-acceptance criterion."""
+acceptance criterion, and no module of the package or the tests imports a
+name it does not use."""
 
 import ast
 import pathlib
@@ -13,6 +14,7 @@ import leviflat
 PACKAGE = pathlib.Path(leviflat.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parent.parent
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 EXEMPT = {"main"}      # the console-script entry point
 
 
@@ -46,3 +48,28 @@ def test_no_unreached_definitions():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in used | EXEMPT]
     assert unreached == []
+
+
+def unused_imports(tree):
+    """Names an import binds that no Name node (an attribute's root
+    included) or `__all__` entry uses."""
+    used = set()
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+        elif isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
