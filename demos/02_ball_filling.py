@@ -54,6 +54,6 @@ print(f"numerical Levi form on the filling: max |L| = "
 out = os.path.join(os.path.dirname(__file__), "out_ball")
 os.makedirs(out, exist_ok=True)
 serialize.write_family(os.path.join(out, "family.json"), result, sc.name,
-                       (grid.n_theta, grid.n_radial))
+                       (grid.n_theta, grid.n_rho))
 serialize.write_cloud(os.path.join(out, "gamma_cloud.csv"), result)
 print(f"wrote family.json and gamma_cloud.csv to {out}")

@@ -35,7 +35,8 @@ from .errors import (
     Underresolved,
     WindingChanged,
 )
-from .geometry import AmbientChart, to_complex, to_real
+from .geometry import (AmbientChart, deformation_tensor_values, to_complex,
+                       to_real)
 
 DEFAULT_N_TAYLOR = 24
 MAX_ELLIPSE_N = 2 ** 18     # most boundary samples ellipse_map takes
@@ -337,7 +338,8 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2):
         pts = p + scale * np.einsum("ij,...j->...i", L, np.asarray(zl))
         return Linv @ chart.J(pts) @ L
 
-    loc_chart = AmbientChart(J=J_loc)
+    loc_chart = AmbientChart(
+        A_fn=lambda zl: deformation_tensor_values(J_loc(zl)))
     zpow = np.stack([np.ones_like(grid.zeta), grid.zeta])   # (2, R, T)
 
     def solve(params):

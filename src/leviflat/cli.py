@@ -19,7 +19,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,6 +69,17 @@ class RunReport:
                 "manifest": self.manifest}
 
 
+def _number(key, value, kind):
+    """value as an int or float; ConfigError naming the field otherwise."""
+    try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field '{key}' needs a number "
+                          f"({kind.__name__}), got {value!r}") from None
+
+
 def load_config(path) -> RunConfig:
     """Read and validate a JSON run configuration, filling defaults."""
     try:
@@ -91,6 +102,11 @@ def load_config(path) -> RunConfig:
             f"unknown scenario '{name}' (choose from {SCENARIO_NAMES})")
     if "N_taylor" in raw:
         raw["n_taylor"] = raw.pop("N_taylor")
+    for f in fields(RunConfig):   # numeric fields; null only for a None default
+        kind = {"int": int, "float": float}.get(f.type.split(" | ")[0])
+        if kind and f.name in raw and (raw[f.name] is not None
+                                       or f.default is not None):
+            raw[f.name] = _number(f.name, raw[f.name], kind)
 
     if "gamma" in raw and name != "model-quadric":
         raise ConfigError("parameter 'gamma' only applies to model-quadric")
@@ -98,22 +114,22 @@ def load_config(path) -> RunConfig:
         raise ConfigError("parameter 'epsilon' only applies to perturbed-ball")
     if "m" in raw:
         expected = {"ball": 1, "perturbed-ball": 1, "weak-m2": 2}.get(name)
-        if expected is not None and int(raw["m"]) != expected:
+        if expected is not None and raw["m"] != expected:
             raise ConfigError(
                 f"parameter m = {raw['m']} is incompatible with '{name}'")
     gamma = raw.get("gamma")
-    if gamma is not None and not (0 <= float(gamma) < 1):
+    if gamma is not None and not (0 <= gamma < 1):
         raise ConfigError(
             f"gamma = {gamma} is not elliptic (needs 0 <= gamma < 1; "
             "gamma = 1 is the parabolic case)")
     for key in ("newton_tol", "glue_tol", "grad_cap"):
-        if key in raw and not float(raw[key]) > 0:
+        if key in raw and not raw[key] > 0:
             raise ConfigError(f"tolerance '{key}' must be positive")
-    if "n_taylor" in raw and int(raw["n_taylor"]) < 8:
+    if "n_taylor" in raw and raw["n_taylor"] < 8:
         raise ConfigError("resolution 'n_taylor' must be at least 8")
 
     config = RunConfig(**raw)
-    check_grid(int(config.n_theta), int(config.n_rho))
+    check_grid(config.n_theta, config.n_rho)
     return config
 
 
@@ -462,8 +478,8 @@ def main(argv=None) -> int:
             config.n_theta, config.n_rho = nt, nr
         if args.command == "run" and config.scenario != "model-quadric":
             # only the disc solver uses n_taylor; fail before any stage runs
-            bishop.check_taylor_order(int(config.n_taylor),
-                                      int(config.n_theta), int(config.n_rho))
+            bishop.check_taylor_order(config.n_taylor, config.n_theta,
+                                      config.n_rho)
         dispatch = {"run": run_scenario, "leaf": run_leaf, "levi": run_levi}
         return dispatch[args.command](config, quiet=args.quiet)
     except ConfigError as exc:

@@ -58,7 +58,7 @@ def characteristic_field(scenario, z, trim=POLE_TRIM):
                 f"point within {trim} of the complex point at {pole}")
     G = scenario.surface.rho_grad(z)                      # (..., 2, 4)
     Jt_gr = np.einsum("...ji,...j->...i", scenario.chart.J(z),
-                      scenario.chart.grad_r(z))
+                      scenario.chart.r_grad(z))
     rows = np.concatenate([G, Jt_gr[..., None, :]], axis=-2)
     _, svals, vh = np.linalg.svd(rows)
     if np.min(svals[..., -1]) < 1e-6:
@@ -80,8 +80,6 @@ class CharacteristicLeaf:
     u: np.ndarray
     v: np.ndarray
     t: np.ndarray
-    v_p: float
-    v_q: float
 
     def point_at(self, t):
         t = float(t)
@@ -156,7 +154,7 @@ def integrate_leaf(scenario, start) -> CharacteristicLeaf:
     v_p = float(surface.to_uv(p_pole)[1])
     v_q = float(surface.to_uv(q_pole)[1])
     t = (v_p - v) / (v_p - v_q)
-    return CharacteristicLeaf(points=pts, u=u, v=v, t=t, v_p=v_p, v_q=v_q)
+    return CharacteristicLeaf(points=pts, u=u, v=v, t=t)
 
 
 def reference_leaves(scenario):
@@ -278,7 +276,6 @@ class DiscFamily:
     discs: list
     t_values: np.ndarray
     monitors: list
-    side: str
     rejected: list = field(default_factory=list)
 
 
@@ -361,7 +358,7 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
             dt = max(MIN_DT, dt * 0.5)
         disc = nxt
     return DiscFamily(discs=discs, t_values=np.asarray(t_values),
-                      monitors=monitors, side=side, rejected=rejected)
+                      monitors=monitors, rejected=rejected)
 
 
 # --- gluing and assembly -----------------------------------------------------------

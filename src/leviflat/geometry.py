@@ -2,10 +2,13 @@
 plurisubharmonicity, bounded exhaustion functions, symplectic areas.
 
 Points of the ambient chart are real 4-vectors (x1, y1, x2, y2) identified
-with (z1, z2) in C^2.  All field evaluators are numpy-vectorized over leading
-axes.  Derivatives of scalar fields are taken by central finite differences
-with a two-step Richardson consistency guard; scenario fields are smooth
-closed-form expressions, so no symbolic machinery is needed.
+with (z1, z2) in C^2.  An almost complex structure is given by its
+deformation tensor A, a complex 2x2 matrix field; the real matrices of J are
+derived from A, and A = 0 is the standard structure.  All field evaluators
+are numpy-vectorized over leading axes.  Derivatives of scalar fields are
+taken by central finite differences with a two-step Richardson consistency
+guard; scenario fields are smooth closed-form expressions, so no symbolic
+machinery is needed.
 """
 
 from __future__ import annotations
@@ -25,16 +28,13 @@ DEFAULT_FD_STEP = 1e-4
 RICHARDSON_RTOL = 1e-3
 
 
-def standard_j(n=2):
-    """The standard complex structure on R^(2n) in (x1, y1, ..., xn, yn) order."""
-    J = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        J[2 * k, 2 * k + 1] = -1.0
-        J[2 * k + 1, 2 * k] = 1.0
-    return J
-
-
-J_ST = standard_j(2)
+# the standard complex structure on R^4 in (x1, y1, x2, y2) order
+J_ST = np.array([
+    [0.0, -1.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, -1.0],
+    [0.0, 0.0, 1.0, 0.0],
+])
 
 STANDARD_OMEGA = np.zeros((4, 4))
 STANDARD_OMEGA[0, 1] = STANDARD_OMEGA[2, 3] = 1.0
@@ -60,69 +60,54 @@ def antilinear_to_real(A):
     """Real matrix of the anti-linear map v -> A conj(v), A complex (..., n, n)."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
-    U = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
-    re, im = A.real, A.imag
-    for j in range(n):
-        for k in range(n):
-            U[..., 2 * j, 2 * k] = re[..., j, k]
-            U[..., 2 * j, 2 * k + 1] = im[..., j, k]
-            U[..., 2 * j + 1, 2 * k] = im[..., j, k]
-            U[..., 2 * j + 1, 2 * k + 1] = -re[..., j, k]
+    U = np.empty(A.shape[:-2] + (2 * n, 2 * n))
+    U[..., 0::2, 0::2] = A.real
+    U[..., 0::2, 1::2] = A.imag
+    U[..., 1::2, 0::2] = A.imag
+    U[..., 1::2, 1::2] = -A.real
     return U
 
 
-def j_from_deformation(A_fn):
-    """Almost complex structure field built from a deformation tensor field.
-
-    Inverts u = -(J_st + J)^(-1) (J_st - J): with u(v) = A conj(v) this is
-    J = J_st (I + u)(I - u)^(-1), valid while ||u|| < 1.
-    """
-    def J(z):
-        z = np.asarray(z, dtype=float)
-        U = antilinear_to_real(A_fn(z))
-        n2 = U.shape[-1]
-        I = np.eye(n2)
-        jst = standard_j(n2 // 2)
-        return jst @ (I + U) @ np.linalg.inv(I - U)
-    return J
+def zero_deformation(z):
+    """The deformation tensor of the standard structure: A = 0 everywhere."""
+    return np.zeros(np.shape(z)[:-1] + (2, 2), dtype=complex)
 
 
 @dataclass
 class AmbientChart:
     """Coordinate chart of the ambient almost complex 4-manifold.
 
-    J maps points (..., 4) to real matrices (..., 4, 4); omega is a constant
-    antisymmetric matrix or a matrix field; defining_r is the boundary
-    defining function (r < 0 inside); psi an optional strictly
-    plurisubharmonic weight.
+    A_fn maps points (..., 4) to the deformation tensor (..., 2, 2); it
+    defines the almost complex structure, and J is derived from it.  The
+    default zero_deformation is the standard structure J_st.  omega is a
+    constant antisymmetric matrix; defining_r is the boundary defining
+    function (r < 0 inside) with optional closed-form gradient r_grad; psi an
+    optional strictly plurisubharmonic weight.
     """
 
-    J: Callable[[np.ndarray], np.ndarray]
-    omega: np.ndarray | Callable[[np.ndarray], np.ndarray] = field(
-        default_factory=lambda: STANDARD_OMEGA.copy())
+    A_fn: Callable[[np.ndarray], np.ndarray] = zero_deformation
+    omega: np.ndarray = field(default_factory=lambda: STANDARD_OMEGA.copy())
     defining_r: Optional[Callable[[np.ndarray], np.ndarray]] = None
     psi: Optional[Callable[[np.ndarray], np.ndarray]] = None
     r_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    box: tuple = ((-1.5, 1.5),) * 4
-    # optional closed-form deformation tensor field, (..., 4) -> (..., 2, 2);
-    # when present the disc solvers use it instead of inverting J pointwise
-    A_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def deformation_at(self, z):
-        """Deformation tensor samples at points z (closed form if available)."""
-        if self.A_fn is not None:
-            return self.A_fn(z)
-        return deformation_tensor_values(self.J(z))
+        """Deformation tensor samples at points z."""
+        return self.A_fn(z)
 
-    def omega_at(self, z):
-        if callable(self.omega):
-            return self.omega(z)
-        return np.broadcast_to(self.omega, np.shape(z)[:-1] + (4, 4))
+    def J(self, z):
+        """Real matrices (..., 4, 4) of J at points z (..., 4).
 
-    def grad_r(self, z):
-        if self.r_grad is not None:
-            return self.r_grad(z)
-        return fd_gradient(self.defining_r, z)
+        Inverts u = -(J_st + J)^(-1) (J_st - J): with u(v) = A conj(v) this
+        is J = J_st (I + u)(I - u)^(-1), valid while ||u|| < 1.  Where A
+        vanishes at every point the result is a read-only view of J_st.
+        """
+        A = self.A_fn(z)
+        if not A.any():
+            return np.broadcast_to(J_ST, np.shape(z)[:-1] + (4, 4))
+        U = antilinear_to_real(A)
+        I = np.eye(4)
+        return J_ST @ (I + U) @ np.linalg.inv(I - U)
 
     def check_invariants(self, samples):
         """J^2 = -I, taming and closedness checks at sample points."""
@@ -133,7 +118,7 @@ class AmbientChart:
         if err > 1e-10:
             raise SingularMatrix(f"J^2 + I deviates by {err:.3e}")
         v = np.random.default_rng(0).standard_normal(samples.shape)
-        om = self.omega_at(samples)
+        om = np.broadcast_to(self.omega, samples.shape[:-1] + (4, 4))
         jv = np.einsum("...ij,...j->...i", J, v)
         tame = np.einsum("...i,...ij,...j->...", v, om, jv)
         if np.min(tame) <= 0:
@@ -142,23 +127,14 @@ class AmbientChart:
 
 
 def deformation_tensor_values(J_values):
-    """Deformation tensor samples from J samples (..., 2n, 2n)."""
+    """Deformation tensor samples from J samples (..., 4, 4)."""
     J_values = np.asarray(J_values, dtype=float)
-    n2 = J_values.shape[-1]
-    jst = standard_j(n2 // 2)
-    S = jst + J_values
+    S = J_ST + J_values
     det = np.linalg.det(S)
     if np.any(np.abs(det) < 1e-12):
         raise SingularMatrix("J_st + J(z) is numerically singular")
-    U = -np.linalg.solve(S, np.broadcast_to(jst, J_values.shape) - J_values)
-    n = n2 // 2
-    A = np.zeros(J_values.shape[:-2] + (n, n), dtype=complex)
-    for k in range(n):
-        e = np.zeros(n2)
-        e[2 * k] = 1.0  # real unit vector for the k-th complex coordinate
-        col = np.einsum("...ij,j->...i", U, e)
-        A[..., :, k] = to_complex(col)
-    return A
+    U = -np.linalg.solve(S, np.broadcast_to(J_ST, J_values.shape) - J_values)
+    return U[..., 0::2, 0::2] + 1j * U[..., 1::2, 0::2]
 
 
 # --- finite-difference scalar calculus ---------------------------------------
@@ -289,37 +265,25 @@ def df_exhaustion(chart: AmbientChart, A: float, eta: float):
 # --- symplectic areas ---------------------------------------------------------
 
 
-def disc_area(disc, omega=None):
+def disc_area(disc, omega=STANDARD_OMEGA):
     """Integral of the pullback of omega over a disc (pair of DiscFields)."""
     f1, f2 = disc
     grid = f1.grid
-    if omega is None:
-        omega = STANDARD_OMEGA
     dth1, drh1 = grid._dtheta_drho(f1.values)
     dth2, drh2 = grid._dtheta_drho(f2.values)
     u = to_real(np.stack([drh1, drh2], axis=-1))   # (R, nt, 4)
     v = to_real(np.stack([dth1, dth2], axis=-1))
-    if callable(omega):
-        pts = to_real(np.stack([f1.values, f2.values], axis=-1))
-        om = omega(pts)
-    else:
-        om = omega
     integrand = np.einsum("...i,...ij,...j->...", u,
-                          np.broadcast_to(om, u.shape + (4,)), v)
+                          np.broadcast_to(omega, u.shape + (4,)), v)
     # area weights carry a rho factor; the pullback integrand needs d rho d theta
     return float(np.sum(integrand / grid.rho[:, None] * grid.area_weights))
 
 
-def sphere_area_bound(surface, omega=None):
+def sphere_area_bound(surface, omega=STANDARD_OMEGA):
     """Upper bound int_{S^2} |omega| by quadrature on the surface atlas."""
-    if omega is None:
-        omega = STANDARD_OMEGA
     total = 0.0
     for pts, du, dv, w in surface.area_elements():
-        if callable(omega):
-            om = omega(pts)
-        else:
-            om = np.broadcast_to(omega, pts.shape[:-1] + (4, 4))
+        om = np.broadcast_to(omega, pts.shape[:-1] + (4, 4))
         vals = np.abs(np.einsum("...i,...ij,...j->...", du, om, dv))
         total += float(np.sum(vals * w))
     return total

@@ -1,9 +1,10 @@
 """Built-in geometric scenarios: ambient charts, spheres, and pole models.
 
-Each scenario packages an ambient chart (almost complex structure, symplectic
-form, boundary defining function, plurisubharmonic weight), the two-sphere as
-a SurfacePatch in ambient coordinates, and adapted-coordinate models of its
-complex (pole) points ready for the elliptic-point theory.
+Each scenario packages an ambient chart (deformation tensor of the almost
+complex structure, symplectic form, boundary defining function,
+plurisubharmonic weight), the two-sphere as a SurfacePatch in ambient
+coordinates, and adapted-coordinate models of its complex (pole) points
+ready for the elliptic-point theory.
 
 Catalog:
   ball          |z1|^2 + |z2|^2 = 1 with the standard structure; the filling
@@ -18,14 +19,14 @@ Catalog:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .bishop import EllipticPointModel, SurfacePatch
 from .errors import ConfigError
-from .geometry import AmbientChart, J_ST, STANDARD_OMEGA, j_from_deformation
+from .geometry import AmbientChart, zero_deformation
 
 PERTURBATION_MATRIX = np.array([
     [0.35, 0.20 + 0.10j],
@@ -50,18 +51,9 @@ class Scenario:
     chart: AmbientChart
     surface: SurfacePatch
     poles: list
-    params: dict = field(default_factory=dict)
 
 
-def _standard_J(z):
-    return np.broadcast_to(J_ST, np.shape(z)[:-1] + (4, 4)).copy()
-
-
-def _zero_A(z):
-    return np.zeros(np.shape(z)[:-1] + (2, 2), dtype=complex)
-
-
-def _ball_type(name: str, m: int, A_fn=None, eps: float = 0.0) -> Scenario:
+def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
     """Sphere {|z1|^2 + |z2|^{2m} = 1, y2 = 0} in the domain r < 0."""
 
     def r(z):
@@ -83,14 +75,7 @@ def _ball_type(name: str, m: int, A_fn=None, eps: float = 0.0) -> Scenario:
         z = np.asarray(z, dtype=float)
         return np.sum(z ** 2, axis=-1)
 
-    if A_fn is None:
-        J = _standard_J
-        A_fn = _zero_A
-    else:
-        J = j_from_deformation(A_fn)
-
-    chart = AmbientChart(J=J, omega=STANDARD_OMEGA.copy(), defining_r=r,
-                         psi=psi, r_grad=r_grad, A_fn=A_fn)
+    chart = AmbientChart(A_fn=A_fn, defining_r=r, psi=psi, r_grad=r_grad)
 
     def rho_pair(z):
         z = np.asarray(z, dtype=float)
@@ -161,13 +146,12 @@ def _ball_type(name: str, m: int, A_fn=None, eps: float = 0.0) -> Scenario:
         parametrization=parametrization, area_elements=area_elements,
         to_uv=to_uv, project=project)
 
-    poles = [_ball_pole(chart, m, A_fn, sign) for sign in (+1, -1)]
+    poles = [_ball_pole(chart, m, sign) for sign in (+1, -1)]
     surface.poles = [p.location for p in poles]
-    return Scenario(name=name, chart=chart, surface=surface, poles=poles,
-                    params={"m": m, "eps": eps})
+    return Scenario(name=name, chart=chart, surface=surface, poles=poles)
 
 
-def _ball_pole(chart: AmbientChart, m: int, A_fn, sign: int) -> PoleInfo:
+def _ball_pole(chart: AmbientChart, m: int, sign: int) -> PoleInfo:
     """Adapted model at the pole (0, sign): w1 = z1, w2 = 2m (1 - sign z2)."""
     location = np.array([0.0, 0.0, float(sign), 0.0])
     scale = 2.0 * m
@@ -191,23 +175,12 @@ def _ball_pole(chart: AmbientChart, m: int, A_fn, sign: int) -> PoleInfo:
         return z
 
     # dw/dz = diag(1, -sign * scale) as a complex-linear map
-    d4 = np.array([1.0, 1.0, -sign * scale, -sign * scale])
-    inv4 = 1.0 / d4
     dc = np.array([1.0, -sign * scale])
 
-    def J_adapted(w):
-        return (d4[:, None] * chart.J(from_adapted(w))) * inv4[None, :]
+    def A_adapted(w):
+        return (dc[:, None] * chart.A_fn(from_adapted(w))) * (1.0 / dc)[None, :]
 
-    A_adapted = None
-    if A_fn is not None:
-        def A_adapted(w):
-            return (dc[:, None] * A_fn(from_adapted(w))) * (1.0 / dc)[None, :]
-
-    model_chart = AmbientChart(
-        J=J_adapted, omega=chart.omega,
-        defining_r=lambda w: chart.defining_r(from_adapted(w)),
-        psi=None if chart.psi is None else (lambda w: chart.psi(from_adapted(w))),
-        A_fn=A_adapted)
+    model_chart = AmbientChart(A_fn=A_adapted)
 
     def rho_adapted(w):
         # normal-form pair: (-r(z), Im w2), Im w2 = -scale * sign * y2
@@ -258,10 +231,9 @@ def _model_quadric(gamma: float) -> Scenario:
         z = np.asarray(z, dtype=float)
         return np.sum(z ** 2, axis=-1)
 
-    chart = AmbientChart(J=_standard_J, omega=STANDARD_OMEGA.copy(),
-                         defining_r=lambda z: P(np.asarray(z, float))
+    chart = AmbientChart(defining_r=lambda z: P(np.asarray(z, float))
                          - np.asarray(z, float)[..., 2],
-                         psi=psi, A_fn=_zero_A)
+                         psi=psi)
     surface = SurfacePatch(rho_pair=rho_pair, rho_grad=rho_grad, gamma=gamma,
                            to_uv=to_uv)
     identity = lambda z: np.asarray(z, dtype=float).copy()
@@ -270,7 +242,7 @@ def _model_quadric(gamma: float) -> Scenario:
                     from_adapted=identity, gamma=gamma)
     surface.poles = [pole.location]
     return Scenario(name="model-quadric", chart=chart, surface=surface,
-                    poles=[pole], params={"gamma": gamma})
+                    poles=[pole])
 
 
 def make_scenario(name: str, **params) -> Scenario:
@@ -291,8 +263,7 @@ def make_scenario(name: str, **params) -> Scenario:
         eps = float(params.get("eps", 0.05))
         if not (0 <= eps <= 0.1):
             raise ConfigError(f"perturbed-ball needs eps in [0, 0.1], got {eps}")
-        return _ball_type("perturbed-ball", m=1, A_fn=_perturbation_A(eps),
-                          eps=eps)
+        return _ball_type("perturbed-ball", m=1, A_fn=_perturbation_A(eps))
     gamma = float(params.get("gamma", 0.5))
     if not (0 <= gamma < 1):
         raise ConfigError(

@@ -66,7 +66,7 @@ class TestAdaptedModels:
         quad = make_scenario("model-quadric", gamma=0.3)
         const_A = lambda z: np.broadcast_to(
             0.05 * np.eye(2, dtype=complex), np.shape(z)[:-1] + (2, 2))
-        chart = G.AmbientChart(J=G.j_from_deformation(const_A), A_fn=const_A)
+        chart = G.AmbientChart(A_fn=const_A)
         bad = B.EllipticPointModel(gamma=0.3, chart=chart,
                                    rho=quad.surface.rho_pair)
         with pytest.raises(AdaptationFailure):
@@ -157,7 +157,7 @@ class TestPsiOperator:
             z2 = z[..., 2] + 1j * z[..., 3]
             return strength * (1.0 - z2 ** 2)[..., None, None] * A0
 
-        return G.AmbientChart(J=G.j_from_deformation(A_fn), A_fn=A_fn)
+        return G.AmbientChart(A_fn=A_fn)
 
     def test_roundtrip(self, grid):
         chart = self.chart()

@@ -146,6 +146,20 @@ class TestMain:
         assert (out_dir / "FAILED").exists()
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"scenario": "ball", "newton_tol": "abc"},
+        {"scenario": "ball", "n_theta": "x"},
+        {"scenario": "ball", "m": "two"},
+        {"scenario": "ball", "n_taylor": None},
+        {"scenario": "perturbed-ball", "epsilon": "big"}])
+    def test_malformed_number_is_config_error(self, tmp_path, capsys, config):
+        cfg = write_config(tmp_path, **config)
+        out_dir = tmp_path / "out"
+        code = cli.main(["--out", str(out_dir), "--quiet", "leaf", cfg])
+        assert code == 2
+        assert (out_dir / "FAILED").exists()
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_resolution_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario="model-quadric")
         code = cli.main(["--resolution", "64x32", "--quiet", "run", cfg])

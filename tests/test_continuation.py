@@ -57,7 +57,7 @@ class TestCharacteristicField:
         G = ball.surface.rho_grad(pts)
         assert np.max(np.abs(np.einsum("...ki,...i->...k", G, d))) < 1e-10
         Jt_gr = np.einsum("...ji,...j->...i", ball.chart.J(pts),
-                          ball.chart.grad_r(pts))
+                          ball.chart.r_grad(pts))
         assert np.max(np.abs(np.einsum("...i,...i->...", Jt_gr, d))) < 1e-10
 
     def test_pole_proximity_guard(self, ball):

@@ -4,6 +4,7 @@ The demos are copied into a temporary directory first, so that the files
 02_ball_filling.py writes next to itself stay out of the source tree.
 """
 
+import json
 import os
 import re
 import shutil
@@ -40,3 +41,6 @@ def test_demo_runs(demo_dir, name):
         # the printed z(1) of the gamma = 0.5 ellipse map is sqrt(2/3)
         digits = re.search(r"z\(1\) = (\S+)", proc.stdout).group(1)
         assert digits == f"{np.sqrt(2 / 3):.{len(digits.split('.')[1])}f}"
+    if name.startswith("02_"):
+        fam = json.loads((demo_dir / "out_ball" / "family.json").read_text())
+        assert fam["resolution"] == {"n_theta": 64, "n_rho": 32}

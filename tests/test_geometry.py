@@ -13,8 +13,7 @@ from leviflat.errors import (
 
 
 def standard_chart():
-    return G.AmbientChart(
-        J=lambda z: np.broadcast_to(G.J_ST, np.shape(z)[:-1] + (4, 4)))
+    return G.AmbientChart()
 
 
 def perturbed_chart(eps=0.05):
@@ -25,7 +24,7 @@ def perturbed_chart(eps=0.05):
         z2 = z[..., 2] + 1j * z[..., 3]
         return eps * (1.0 - z2 ** 2)[..., None, None] * A0
 
-    return G.AmbientChart(J=G.j_from_deformation(A_fn), A_fn=A_fn)
+    return G.AmbientChart(A_fn=A_fn)
 
 
 class TestStructures:
@@ -37,7 +36,7 @@ class TestStructures:
         assert np.allclose(G.to_complex(G.to_real(z)), z)
 
     def test_deformation_roundtrip(self):
-        """A -> J via j_from_deformation -> A via pointwise recovery."""
+        """A -> J via AmbientChart.J -> A via pointwise recovery."""
         chart = perturbed_chart()
         rng = np.random.default_rng(0)
         pts = rng.uniform(-0.8, 0.8, (10, 4))
@@ -52,21 +51,29 @@ class TestStructures:
         assert rep["j_square_error"] < 1e-10
         assert rep["taming_min"] > 0
 
+    def test_standard_structure_by_default(self):
+        chart = G.AmbientChart()
+        pts = np.random.default_rng(7).uniform(-0.8, 0.8, (6, 3, 4))
+        J = chart.J(pts)
+        assert J.shape == (6, 3, 4, 4)
+        assert np.array_equal(J, np.broadcast_to(G.J_ST, J.shape))
+        assert not chart.deformation_at(pts).any()
+
     def test_antilinear_to_real(self):
-        A = np.array([[1 + 2j, 0.5], [0, -1j]])
-        U = G.antilinear_to_real(A)
         rng = np.random.default_rng(2)
-        v = rng.standard_normal(4)
-        lhs = G.to_complex((U @ v)[None, :])[0]
-        rhs = A @ np.conj(G.to_complex(v[None, :])[0])
-        assert np.allclose(lhs, rhs)
+        batch = rng.standard_normal((5, 2, 2)) \
+            + 1j * rng.standard_normal((5, 2, 2))
+        for A in (np.array([[1 + 2j, 0.5], [0, -1j]]), batch):
+            U = G.antilinear_to_real(A)
+            v = rng.standard_normal(A.shape[:-2] + (4,))
+            lhs = G.to_complex(np.einsum("...ij,...j->...i", U, v))
+            rhs = np.einsum("...ij,...j->...i", A, np.conj(G.to_complex(v)))
+            assert np.allclose(lhs, rhs)
 
     def test_singular_matrix_guard(self):
         # J = -J_st makes J_st + J singular
-        bad = G.AmbientChart(
-            J=lambda z: np.broadcast_to(-G.J_ST, np.shape(z)[:-1] + (4, 4)))
         with pytest.raises(SingularMatrix):
-            G.deformation_tensor_values(bad.J(np.zeros((1, 4))))
+            G.deformation_tensor_values(-G.J_ST[None])
 
 
 class TestLeviForm:
@@ -133,7 +140,6 @@ class TestPshAndExhaustion:
     def test_df_exhaustion_closed_form(self):
         """-(-r e^{-A psi})^eta against a hand-evaluated value."""
         chart = G.AmbientChart(
-            J=lambda z: np.broadcast_to(G.J_ST, np.shape(z)[:-1] + (4, 4)),
             defining_r=lambda z: np.sum(np.asarray(z) ** 2, axis=-1) - 1.0,
             psi=lambda z: np.sum(np.asarray(z) ** 2, axis=-1))
         fn = G.df_exhaustion(chart, A=1.0, eta=0.5)
@@ -143,7 +149,6 @@ class TestPshAndExhaustion:
 
     def test_df_exhaustion_domain_guard(self):
         chart = G.AmbientChart(
-            J=lambda z: np.broadcast_to(G.J_ST, np.shape(z)[:-1] + (4, 4)),
             defining_r=lambda z: np.sum(np.asarray(z) ** 2, axis=-1) - 1.0,
             psi=lambda z: np.sum(np.asarray(z) ** 2, axis=-1))
         fn = G.df_exhaustion(chart, A=1.0, eta=0.5)
@@ -152,7 +157,6 @@ class TestPshAndExhaustion:
 
     def test_df_exhaustion_parameter_validation(self):
         chart = G.AmbientChart(
-            J=lambda z: np.broadcast_to(G.J_ST, np.shape(z)[:-1] + (4, 4)),
             defining_r=lambda z: -np.ones(np.shape(z)[:-1]),
             psi=lambda z: np.zeros(np.shape(z)[:-1]))
         with pytest.raises(ValueError):

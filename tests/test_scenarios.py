@@ -145,6 +145,16 @@ class TestPoles:
         for pole in sc.poles:
             assert B.validate_adapted(pole.model)["passed"]
 
+    def test_pole_model_structure_is_pushforward(self):
+        # J on the adapted chart is D J(z) D^-1, D = dw/dz = diag(1, -s 2m)
+        sc = make_scenario("perturbed-ball")
+        w = np.random.default_rng(8).uniform(-0.5, 0.5, (16, 4))
+        for pole, sign in zip(sc.poles, (1, -1)):
+            D = np.diag([1.0, 1.0, -2.0 * sign, -2.0 * sign])
+            z = pole.from_adapted(w)
+            expected = D @ sc.chart.J(z) @ np.linalg.inv(D)
+            assert np.max(np.abs(pole.model.chart.J(w) - expected)) < 1e-13
+
     def test_perturbation_vanishes_at_poles(self):
         sc = make_scenario("perturbed-ball")
         for pole in sc.poles:

@@ -1,7 +1,7 @@
 """Every module of the package compiles without warnings, every
 module-level function and class is reached from the package, a demo or an
-acceptance criterion, and no module of the package or the tests imports a
-name it does not use."""
+acceptance criterion, every class field is read somewhere, and no module of
+the package or the tests imports a name it does not use."""
 
 import ast
 import pathlib
@@ -15,6 +15,7 @@ PACKAGE = pathlib.Path(leviflat.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parent.parent
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 EXEMPT = {"main"}      # the console-script entry point
 
 
@@ -39,7 +40,7 @@ def referenced_names(paths):
 
 
 def test_no_unreached_definitions():
-    used = referenced_names(SOURCES + sorted((ROOT / "demos").glob("*.py"))
+    used = referenced_names(SOURCES + DEMOS
                             + [ROOT / "tests" / "test_acceptance.py"])
     unreached = [
         f"{path.name}:{node.name}"
@@ -48,6 +49,23 @@ def test_no_unreached_definitions():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name not in used | EXEMPT]
     assert unreached == []
+
+
+def test_no_unread_fields():
+    # RunConfig's fields are the accepted config keys, read or not
+    read = {node.attr
+            for path in SOURCES + DEMOS + TESTS
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{path.name}:{cls.name}.{node.target.id}"
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef) and cls.name != "RunConfig"
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and node.target.id not in read]
+    assert unread == []
 
 
 def unused_imports(tree):
