@@ -54,7 +54,7 @@ class SurfacePatch:
     surface, to_uv gives global surface coordinates (angle u, height v) used
     for leaf bookkeeping, parametrization/area_elements trace the sphere for
     quadrature.  gamma is the complex-point invariant when the patch is
-    centered at one.
+    centered at one; poles is an (n, 4) array of its complex points.
     """
 
     rho_pair: Callable
@@ -64,7 +64,7 @@ class SurfacePatch:
     area_elements: Optional[Callable] = None
     to_uv: Optional[Callable] = None
     project: Optional[Callable] = None
-    poles: list = field(default_factory=list)
+    poles: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
 
     def tangent_basis(self, z):
         """Orthonormal basis of T S^2 = ker(d rho) at surface points (..., 4)."""

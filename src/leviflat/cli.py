@@ -484,11 +484,22 @@ def main(argv=None) -> int:
         return dispatch[args.command](config, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "FAILED"), "w") as fh:
-                fh.write(f"ConfigError: {exc}\n")
+        out_dir = args.out or _configured_output_dir(args.config)
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "FAILED"), "w") as fh:
+            fh.write(f"ConfigError: {exc}\n")
         return 2
+
+
+def _configured_output_dir(path):
+    """The config file's output_dir if it names one, else the default."""
+    try:
+        with open(path) as fh:
+            out_dir = json.load(fh)["output_dir"]
+    except (OSError, ValueError, LookupError, TypeError):
+        out_dir = None
+    return out_dir if isinstance(out_dir, str) and out_dir \
+        else RunConfig.output_dir
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ and assembled into the Levi-flat filling hypersurface.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,10 @@ LEAF_STEP = 5e-3            # RK4 step of integrate_leaf
 MAX_DT = 0.025              # largest continuation step of continue_family
 MIN_DT = 1e-4               # a smaller step ends the branch (StepUnderflow)
 
+LEVI_CIVITA = np.zeros((4, 4, 4, 4))     # eps_kijl = det of the permutation
+for _perm in itertools.permutations(range(4)):
+    LEVI_CIVITA[_perm] = np.linalg.det(np.eye(4)[list(_perm)])
+
 
 # --- characteristic line field and leaves --------------------------------------
 
@@ -47,24 +52,32 @@ MIN_DT = 1e-4               # a smaller step ends the branch (StepUnderflow)
 def characteristic_field(scenario, z, trim=POLE_TRIM):
     """Unit direction spanning T S^2 intersected with the complex tangent.
 
-    The line is the null space of the rows {grad rho1, grad rho2, J^T grad r};
-    raises ComplexPointProximity when the null space degenerates or z is
+    The line is the null space of the rows b = grad rho1, c = grad rho2 and
+    w = J^T grad r of the 3x4 matrix R.  It is spanned by their generalized
+    cross product n_k = eps_kijl w_i b_j c_l, whose length is the product
+    sigma_1 sigma_2 sigma_3 of the singular values of R.  As sigma_1 sigma_2
+    <= |R|_F^2 / 2, the test 2 |n| < 1e-6 |R|_F^2 holds wherever
+    sigma_3 < 1e-6; ComplexPointProximity is raised there, and when z is
     within `trim` of a complex point.
     """
     z = np.asarray(z, dtype=float)
-    for pole in scenario.surface.poles:
-        if np.min(np.linalg.norm(z - pole, axis=-1)) < trim:
-            raise ComplexPointProximity(
-                f"point within {trim} of the complex point at {pole}")
-    G = scenario.surface.rho_grad(z)                      # (..., 2, 4)
-    Jt_gr = np.einsum("...ji,...j->...i", scenario.chart.J(z),
-                      scenario.chart.r_grad(z))
-    rows = np.concatenate([G, Jt_gr[..., None, :]], axis=-2)
-    _, svals, vh = np.linalg.svd(rows)
-    if np.min(svals[..., -1]) < 1e-6:
+    surface, chart = scenario.surface, scenario.chart
+    d2 = np.sum((z[..., None, :] - surface.poles) ** 2, axis=-1)
+    if np.min(d2) < trim ** 2:
+        pole = surface.poles[np.argmin(d2) % len(surface.poles)]
         raise ComplexPointProximity(
-            f"characteristic line degenerates (sigma_3 = {np.min(svals[..., -1]):.3e})")
-    return vh[..., -1, :]
+            f"point within {trim} of the complex point at {pole}")
+    w = chart.r_grad(z)[..., None, :] @ chart.J(z)       # the row J^T grad r
+    rows = np.concatenate([surface.rho_grad(z), w], axis=-2)
+    n = np.einsum("kijl,...i,...j,...l->...k", LEVI_CIVITA, rows[..., 2, :],
+                  rows[..., 0, :], rows[..., 1, :])
+    norm = np.sqrt(np.einsum("...k,...k->...", n, n))
+    ratio = 2.0 * norm / np.einsum("...ij,...ij->...", rows, rows)
+    if np.min(ratio) < 1e-6:
+        raise ComplexPointProximity(
+            f"characteristic line degenerates "
+            f"(2|n| / |R|_F^2 = {np.min(ratio):.3e})")
+    return n / norm[..., None]
 
 
 @dataclass
@@ -100,12 +113,6 @@ class CharacteristicLeaf:
         return member
 
 
-def t_to_height(scenario, t):
-    v_p = scenario.surface.to_uv(scenario.poles[0].location)[1]
-    v_q = scenario.surface.to_uv(scenario.poles[-1].location)[1]
-    return v_p - np.asarray(t) * (v_p - v_q)
-
-
 def integrate_leaf(scenario, start) -> CharacteristicLeaf:
     """Integrate the characteristic field from near pole p to near pole q.
 
@@ -117,15 +124,12 @@ def integrate_leaf(scenario, start) -> CharacteristicLeaf:
     surface = scenario.surface
     p_pole, q_pole = scenario.poles[0].location, scenario.poles[-1].location
     z = surface.project(np.asarray(start, dtype=float))
-    prev_dir = (q_pole - p_pole)
-    prev_dir = prev_dir / np.linalg.norm(prev_dir)
+    prev_dir = q_pole - p_pole          # rhs reads only the sign of d @ ref
     pts = [z]
 
     def rhs(y, ref):
         d = characteristic_field(scenario, y, trim=trim * 0.5)
-        if np.dot(d, ref) < 0:
-            d = -d
-        return d
+        return -d if d @ ref < 0 else d
 
     for n in range(20000):
         try:
@@ -138,9 +142,10 @@ def integrate_leaf(scenario, start) -> CharacteristicLeaf:
         z = surface.project(z + step * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
         prev_dir = k1
         pts.append(z)
-        if np.linalg.norm(z - q_pole) < trim:
+        dq, d0 = z - q_pole, z - pts[0]
+        if dq @ dq < trim ** 2:
             break
-        if n > 10 and np.linalg.norm(z - pts[0]) < 0.5 * step:
+        if n > 10 and d0 @ d0 < (0.5 * step) ** 2:
             raise ClosedLeafDetected("leaf returned to its starting point")
     else:
         raise LeafStalled("leaf did not reach the target pole in 20000 steps")
@@ -158,21 +163,15 @@ def integrate_leaf(scenario, start) -> CharacteristicLeaf:
 
 
 def reference_leaves(scenario):
-    """The three pinned leaves, started on a small circle around pole p."""
-    leaves = []
-    v0 = t_to_height(scenario, 0.02)
-    for ang in LEAF_ANGLES:
-        # seed with the surface point at height v0 and angle ang
-        seed = _point_at(scenario, v0, ang)
-        leaf = integrate_leaf(scenario, seed)
-        leaves.append(leaf)
-    return leaves
-
-
-def _point_at(scenario, v, ang):
-    """A surface point near height v with angle u = ang (ball-type spheres)."""
-    guess = np.array([0.3 * np.cos(ang), 0.3 * np.sin(ang), v, 0.0])
-    return scenario.surface.project(guess)
+    """The three pinned leaves, started on a small circle around pole p: at
+    the angles LEAF_ANGLES and near the height where the leaf parameter t is
+    0.02 (ball-type spheres)."""
+    v_p, v_q = (scenario.surface.to_uv(pole.location)[1]
+                for pole in (scenario.poles[0], scenario.poles[-1]))
+    v0 = v_p - 0.02 * (v_p - v_q)
+    return [integrate_leaf(scenario, scenario.surface.project(
+        np.array([0.3 * np.cos(ang), 0.3 * np.sin(ang), v0, 0.0])))
+        for ang in LEAF_ANGLES]
 
 
 def make_pinset(scenario, leaves, t) -> PinSet:

@@ -53,6 +53,17 @@ class Scenario:
     poles: list
 
 
+def _to_uv(z):
+    """Surface coordinates (angle of z1, height x2)."""
+    z = np.asarray(z, dtype=float)
+    return np.stack([np.arctan2(z[..., 1], z[..., 0]), z[..., 2]], axis=-1)
+
+
+def _psi(z):
+    """The plurisubharmonic weight |z|^2."""
+    return np.sum(np.asarray(z, dtype=float) ** 2, axis=-1)
+
+
 def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
     """Sphere {|z1|^2 + |z2|^{2m} = 1, y2 = 0} in the domain r < 0."""
 
@@ -63,19 +74,13 @@ def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
 
     def r_grad(z):
         z = np.asarray(z, dtype=float)
-        R = z[..., 2] ** 2 + z[..., 3] ** 2
-        g = np.empty(z.shape)
-        g[..., 0] = 2 * z[..., 0]
-        g[..., 1] = 2 * z[..., 1]
-        g[..., 2] = 2 * m * z[..., 2] * R ** (m - 1)
-        g[..., 3] = 2 * m * z[..., 3] * R ** (m - 1)
+        g = 2.0 * z
+        if m != 1:
+            g[..., 2:] *= (m * (z[..., 2] ** 2 + z[..., 3] ** 2)
+                           ** (m - 1))[..., None]
         return g
 
-    def psi(z):
-        z = np.asarray(z, dtype=float)
-        return np.sum(z ** 2, axis=-1)
-
-    chart = AmbientChart(A_fn=A_fn, defining_r=r, psi=psi, r_grad=r_grad)
+    chart = AmbientChart(A_fn=A_fn, defining_r=r, psi=_psi, r_grad=r_grad)
 
     def rho_pair(z):
         z = np.asarray(z, dtype=float)
@@ -83,13 +88,10 @@ def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
 
     def rho_grad(z):
         z = np.asarray(z, dtype=float)
-        g1 = np.zeros(z.shape)
-        g1[..., 3] = 1.0
-        return np.stack([g1, r_grad(z)], axis=-2)
-
-    def to_uv(z):
-        z = np.asarray(z, dtype=float)
-        return np.stack([np.arctan2(z[..., 1], z[..., 0]), z[..., 2]], axis=-1)
+        g = np.zeros(z.shape[:-1] + (2, 4))
+        g[..., 0, 3] = 1.0
+        g[..., 1, :] = r_grad(z)
+        return g
 
     def project(z):
         z = np.asarray(z, dtype=float)
@@ -101,10 +103,7 @@ def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
             u = 1.0 / (a + b)
         else:  # m = 2: s^2 a + s^4 b = 1, stable root of the quadratic in s^2
             u = 2.0 / (a + np.sqrt(a ** 2 + 4.0 * b))
-        s = np.sqrt(u)
-        out[..., 0] *= s
-        out[..., 1] *= s
-        out[..., 2] *= s
+        out[..., :3] *= np.sqrt(u)[..., None]
         return out
 
     def parametrization(phi, alpha):
@@ -141,13 +140,12 @@ def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
             panels.append((pts, du, dv, w))
         return panels
 
+    poles = [_ball_pole(chart, m, sign) for sign in (+1, -1)]
     surface = SurfacePatch(
         rho_pair=rho_pair, rho_grad=rho_grad, gamma=0.0,
         parametrization=parametrization, area_elements=area_elements,
-        to_uv=to_uv, project=project)
-
-    poles = [_ball_pole(chart, m, sign) for sign in (+1, -1)]
-    surface.poles = [p.location for p in poles]
+        to_uv=_to_uv, project=project,
+        poles=np.array([p.location for p in poles]))
     return Scenario(name=name, chart=chart, surface=surface, poles=poles)
 
 
@@ -223,24 +221,15 @@ def _model_quadric(gamma: float) -> Scenario:
         g2[..., 3] = 1.0
         return np.stack([g1, g2], axis=-2)
 
-    def to_uv(z):
-        z = np.asarray(z, dtype=float)
-        return np.stack([np.arctan2(z[..., 1], z[..., 0]), z[..., 2]], axis=-1)
-
-    def psi(z):
-        z = np.asarray(z, dtype=float)
-        return np.sum(z ** 2, axis=-1)
-
     chart = AmbientChart(defining_r=lambda z: P(np.asarray(z, float))
                          - np.asarray(z, float)[..., 2],
-                         psi=psi)
-    surface = SurfacePatch(rho_pair=rho_pair, rho_grad=rho_grad, gamma=gamma,
-                           to_uv=to_uv)
+                         psi=_psi)
     identity = lambda z: np.asarray(z, dtype=float).copy()
     model = EllipticPointModel(gamma=gamma, chart=chart, rho=rho_pair)
     pole = PoleInfo(location=np.zeros(4), model=model, to_adapted=identity,
                     from_adapted=identity, gamma=gamma)
-    surface.poles = [pole.location]
+    surface = SurfacePatch(rho_pair=rho_pair, rho_grad=rho_grad, gamma=gamma,
+                           to_uv=_to_uv, poles=pole.location[None, :])
     return Scenario(name="model-quadric", chart=chart, surface=surface,
                     poles=[pole])
 

@@ -160,10 +160,12 @@ class TestMain:
         assert (out_dir / "FAILED").exists()
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_resolution_flag(self, tmp_path, capsys):
+    def test_bad_resolution_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, scenario="model-quadric")
         code = cli.main(["--resolution", "64x32", "--quiet", "run", cfg])
         assert code == 2
+        assert (tmp_path / "out" / "FAILED").exists()
 
     @pytest.mark.parametrize("flag", [None, "24,8"])
     def test_run_n_theta_not_power_of_two(self, tmp_path, capsys, flag):
@@ -178,10 +180,36 @@ class TestMain:
         assert "n_theta = 24 must be a power of two" in capsys.readouterr().err
         assert (out_dir / "FAILED").exists()
 
-    def test_resolution_flag_minimum_n_rho(self, tmp_path, capsys):
+    def test_resolution_flag_minimum_n_rho(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, scenario="ball")
         assert cli.main(["--resolution", "32,4", "--quiet", "leaf", cfg]) == 2
         assert "n_rho = 4" in capsys.readouterr().err
+        assert (tmp_path / "out" / "FAILED").exists()
+
+    @pytest.mark.parametrize("command,config,error", [
+        ("leaf", {"scenario": "ball", "n_theta": 24, "output_dir": "myout"},
+         "n_theta = 24 must be a power of two"),
+        ("run", {"scenario": "ball", "n_theta": 32, "n_rho": 16,
+                 "output_dir": "myout"}, "exceeds 15"),
+        ("run", {"scenario": "ball", "n_theta": 24, "output_dir": 7},
+         "power of two"),
+        ("leaf", {"scenario": "torus", "output_dir": "myout"},
+         "unknown scenario")])
+    def test_config_error_marker_without_out_flag(
+            self, tmp_path, monkeypatch, capsys, command, config, error):
+        # without --out the marker goes to the config's output_dir when it
+        # names one as a string, else to the default out
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, **config)
+        assert cli.main(["--quiet", command, cfg]) == 2
+        assert error in capsys.readouterr().err
+        out_dir = config["output_dir"] \
+            if isinstance(config["output_dir"], str) else "out"
+        marker = tmp_path / out_dir / "FAILED"
+        assert marker.read_text().startswith("ConfigError: ")
+        assert not (tmp_path / "FAILED").exists()
 
     @pytest.mark.parametrize("n_theta,n_rho,flag,limit", [
         (32, 16, None, 15), (64, 16, None, 16),

@@ -1,6 +1,7 @@
 """Tests for leaves, disc-family continuation, gluing, and the certificate."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -48,22 +49,99 @@ def glued(ball, leaves, grid):
     return C.glue(fp, fq)
 
 
+SPHERES = ("ball", "weak-m2", "perturbed-ball")
+
+
+def svd_rows(scenario, z):
+    """The rows grad rho1, grad rho2, J^T grad r of the characteristic field."""
+    Jt_gr = np.einsum("...ji,...j->...i", scenario.chart.J(z),
+                      scenario.chart.r_grad(z))
+    return np.concatenate([scenario.surface.rho_grad(z), Jt_gr[..., None, :]],
+                          axis=-2)
+
+
+def svd_field(scenario, z, trim=C.POLE_TRIM):
+    """Reference field: the null line of the rows by SVD, degenerate where
+    sigma_3 < 1e-6."""
+    z = np.asarray(z, dtype=float)
+    for pole in scenario.surface.poles:
+        if np.min(np.linalg.norm(z - pole, axis=-1)) < trim:
+            raise ComplexPointProximity(f"point within {trim} of {pole}")
+    _, svals, vh = np.linalg.svd(svd_rows(scenario, z))
+    if np.min(svals[..., -1]) < 1e-6:
+        raise ComplexPointProximity("characteristic line degenerates")
+    return vh[..., -1, :]
+
+
+def sample_points(sc):
+    """Surface points and points off the surface (y2 != 0, |z| != 1), all
+    away from the poles."""
+    on = sc.surface.parametrization(np.linspace(0.3, np.pi - 0.3, 7),
+                                    np.linspace(0.0, 5.0, 7))
+    return np.concatenate([on, 1.05 * on + np.array([0.0, 0.0, 0.0, 0.1])])
+
+
 class TestCharacteristicField:
-    def test_orthogonality(self, ball):
-        pts = ball.surface.parametrization(
-            np.array([0.8, 1.5, 2.2]), np.array([0.0, 1.0, 2.0]))
-        d = C.characteristic_field(ball, pts)
-        assert np.allclose(np.linalg.norm(d, axis=-1), 1.0)
-        G = ball.surface.rho_grad(pts)
-        assert np.max(np.abs(np.einsum("...ki,...i->...k", G, d))) < 1e-10
-        Jt_gr = np.einsum("...ji,...j->...i", ball.chart.J(pts),
-                          ball.chart.r_grad(pts))
-        assert np.max(np.abs(np.einsum("...i,...i->...", Jt_gr, d))) < 1e-10
+    def test_orthogonality(self):
+        for name in SPHERES:      # in a loop, so the test keeps its name
+            sc = make_scenario(name)
+            pts = sc.surface.parametrization(
+                np.array([0.8, 1.5, 2.2]), np.array([0.0, 1.0, 2.0]))
+            d = C.characteristic_field(sc, pts)
+            assert np.allclose(np.linalg.norm(d, axis=-1), 1.0)
+            G = sc.surface.rho_grad(pts)
+            assert np.max(np.abs(np.einsum("...ki,...i->...k", G, d))) < 1e-10
+            Jt_gr = np.einsum("...ji,...j->...i", sc.chart.J(pts),
+                              sc.chart.r_grad(pts))
+            assert np.max(np.abs(np.einsum("...i,...i->...", Jt_gr, d))) \
+                < 1e-10
+
+    @pytest.mark.parametrize("name", SPHERES)
+    def test_matches_svd_null_line(self, name):
+        sc = make_scenario(name)
+        pts = sample_points(sc)
+        dots = np.einsum("...i,...i->...", C.characteristic_field(sc, pts),
+                         svd_field(sc, pts))
+        assert np.max(np.abs(np.abs(dots) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("name", SPHERES)
+    def test_degeneracy_calibrated_on_pole_approach(self, name):
+        # the closed-form test fires wherever sigma_3 < 1e-6 and passes
+        # wherever sigma_3 > 1e-5
+        sc = make_scenario(name)
+        fired, passed = [], []
+        for dist in np.logspace(-2, -9, 15):
+            z = sc.surface.project(
+                np.array([dist * np.cos(0.3), dist * np.sin(0.3), 1.0, 0.0]))
+            sigma_3 = np.linalg.svd(svd_rows(sc, z), compute_uv=False)[-1]
+            try:
+                d = C.characteristic_field(sc, z, trim=0.0)
+            except ComplexPointProximity:
+                fired.append(sigma_3)
+                continue
+            passed.append(sigma_3)
+            assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+        assert min(passed) > 1e-6 and len(fired) >= 5
+        assert max(fired) < 1e-5
 
     def test_pole_proximity_guard(self, ball):
-        near_pole = np.array([0.02, 0.0, 0.999, 0.0])
-        with pytest.raises(ComplexPointProximity):
-            C.characteristic_field(ball, near_pole)
+        # a batch with one point near a pole; the message names that pole
+        for pole in ball.surface.poles:
+            pts = np.array([[0.6, 0.0, 0.8, 0.0],
+                            [0.02, 0.0, 0.999 * pole[2], 0.0]])
+            with pytest.raises(ComplexPointProximity,
+                               match=re.escape(f"complex point at {pole}")):
+                C.characteristic_field(ball, pts)
+
+    @pytest.mark.parametrize("name", SPHERES)
+    def test_leaf_matches_svd_reference(self, name, monkeypatch):
+        sc = make_scenario(name)
+        seed = sc.surface.project(np.array([-0.15, 0.26, 0.96, 0.0]))
+        leaf = C.integrate_leaf(sc, seed)
+        monkeypatch.setattr(C, "characteristic_field", svd_field)
+        ref = C.integrate_leaf(sc, seed)
+        assert leaf.points.shape == ref.points.shape
+        assert np.max(np.abs(leaf.points - ref.points)) < 1e-13
 
 
 class TestLeaves:

@@ -17,6 +17,14 @@ def surface_samples(sc, n=64, seed=0):
     return sc.surface.parametrization(phi, alpha)
 
 
+def off_surface_samples(sc, seed=2):
+    """Surface points moved off the sphere: |z| != 1 and y2 != 0."""
+    pts = surface_samples(sc, n=16, seed=seed)
+    rng = np.random.default_rng(seed)
+    return pts * rng.uniform(0.8, 1.2, (16, 1)) \
+        + np.array([0.0, 0.0, 0.0, 1.0]) * rng.uniform(-0.5, 0.5, (16, 1))
+
+
 class TestCatalog:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_chart_invariants(self, name):
@@ -68,7 +76,10 @@ class TestSurface:
     @pytest.mark.parametrize("name", ["ball", "weak-m2", "perturbed-ball"])
     def test_rho_grad_matches_finite_differences(self, name):
         sc = make_scenario(name)
-        pts = surface_samples(sc, n=16, seed=2)
+        # off the surface too: there y2 != 0, which the z2 scaling of
+        # weak-m2 multiplies
+        pts = np.concatenate([surface_samples(sc, n=16, seed=2),
+                              off_surface_samples(sc)])
         grad = sc.surface.rho_grad(pts)
         eps = 1e-6
         for k in range(4):
@@ -77,6 +88,19 @@ class TestSurface:
             fd = (sc.surface.rho_pair(pts + dp)
                   - sc.surface.rho_pair(pts - dp)) / (2 * eps)
             assert np.max(np.abs(fd - grad[..., :, k])) < 1e-6
+
+    @pytest.mark.parametrize("name", ["ball", "weak-m2", "perturbed-ball"])
+    def test_r_grad_matches_finite_differences(self, name):
+        sc = make_scenario(name)
+        pts = off_surface_samples(sc)
+        grad = sc.chart.r_grad(pts)
+        eps = 1e-6
+        for k in range(4):
+            dp = np.zeros(4)
+            dp[k] = eps
+            fd = (sc.chart.defining_r(pts + dp)
+                  - sc.chart.defining_r(pts - dp)) / (2 * eps)
+            assert np.max(np.abs(fd - grad[..., k])) < 1e-6
 
     def test_quadric_rho_grad(self):
         sc = make_scenario("model-quadric", gamma=0.3)
@@ -91,7 +115,7 @@ class TestSurface:
                   - sc.surface.rho_pair(pts - dp)) / (2 * eps)
             assert np.max(np.abs(fd - grad[..., :, k])) < 1e-6
 
-    @pytest.mark.parametrize("name", ["ball", "weak-m2"])
+    @pytest.mark.parametrize("name", ["ball", "weak-m2", "perturbed-ball"])
     def test_projection(self, name):
         sc = make_scenario(name)
         on_surface = surface_samples(sc, n=32, seed=4)

@@ -1,10 +1,13 @@
 """Every module of the package compiles without warnings, every
 module-level function and class is reached from the package, a demo or an
-acceptance criterion, every class field is read somewhere, and no module of
-the package or the tests imports a name it does not use."""
+acceptance criterion, every class field is read somewhere, no module of
+the package or the tests imports a name it does not use, and every function
+the benchmark traces still exists."""
 
 import ast
+import importlib.util
 import pathlib
+import sys
 import warnings
 
 import pytest
@@ -91,3 +94,22 @@ def unused_imports(tree):
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_trace_targets_resolve(monkeypatch):
+    """Every span of perfbench/run.py wraps a live callable, and every probe
+    is one of those spans: a renamed or inlined function would otherwise
+    read as a zero layer or item metric."""
+    bench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)   # for its dataclasses
+    spec.loader.exec_module(run)
+    targets = run.trace_targets()
+    dead = [t.name for t in targets
+            if not callable(getattr(t.owner, t.attr, None))]
+    assert dead == []
+    assert set(run.PROBES) <= {t.name for t in targets}
