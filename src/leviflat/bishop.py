@@ -50,11 +50,12 @@ class SurfacePatch:
     """Defining data of the real two-sphere (or a local piece of it).
 
     rho_pair maps points (..., 4) to the two defining functions (rho1, rho2);
-    the surface is {rho_pair = 0}.  project sends nearby points onto the
-    surface, to_uv gives global surface coordinates (angle u, height v) used
-    for leaf bookkeeping, parametrization/area_elements trace the sphere for
-    quadrature.  gamma is the complex-point invariant when the patch is
-    centered at one; poles is an (n, 4) array of its complex points.
+    the surface is {rho_pair = 0}.  to_uv gives global surface coordinates
+    (angle u, height v) used for leaf bookkeeping; parametrization(phi, u)
+    traces the sphere by polar angle and angle, and carries the leaves as
+    graphs u(phi); area_elements gives its quadrature.  gamma is the
+    complex-point invariant when the patch is centered at one; poles is an
+    (n, 4) array of its complex points.
     """
 
     rho_pair: Callable
@@ -63,7 +64,6 @@ class SurfacePatch:
     parametrization: Optional[Callable] = None
     area_elements: Optional[Callable] = None
     to_uv: Optional[Callable] = None
-    project: Optional[Callable] = None
     poles: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
 
     def tangent_basis(self, z):

@@ -169,7 +169,6 @@ class DiscGrid:
             self._build_cg()
         F = np.fft.fft(values, axis=-1) / self.n_theta
         # stacked per-mode matmul: (m, R, R) @ (m, R, batch) -> (m, R, batch)
-        lead = F.shape[:-2]
         Fl = F.reshape((-1,) + F.shape[-2:])                    # (b, R, m)
         Fm = np.ascontiguousarray(Fl.transpose(2, 1, 0))        # (m, R, b)
         Om = self._cg_matrices @ Fm                             # (m, R, b)

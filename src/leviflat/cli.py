@@ -170,8 +170,11 @@ def _run_quadric(scenario, config, report, out_dir, quiet):
     for disc in discs:
         disc.diagnostics["mu"] = continuation.maslov_index(
             disc, scenario.surface)
-        disc.diagnostics["area"] = geometry.disc_area(
-            disc.f, scenario.chart.omega)
+        # the univalent z1 = sum c_k zeta^k covers pi sum k |c_k|^2, and
+        # the constant z2 = r adds nothing
+        c1 = disc.h_coeffs[0]
+        disc.diagnostics["area"] = float(
+            np.pi * np.sum(np.arange(len(c1)) * np.abs(c1) ** 2))
     report.stage("model_family", "PASS", time.time() - t0)
     mus = sorted({d.diagnostics["mu"] for d in discs})
     report.checks["mu_zero"] = "PASS" if mus == [0] else "FAIL"

@@ -21,7 +21,6 @@ from .bishop import BishopDisc, DEFAULT_N_TAYLOR, PinSet, bishop_solve
 from .calculus import DiscGrid
 from .errors import (
     BlowUp,
-    ClosedLeafDetected,
     ComplexPointProximity,
     DiscSolveFailed,
     FrameDegenerate,
@@ -37,7 +36,8 @@ from .geometry import disc_area, levi_form, to_complex, to_real
 
 POLE_TRIM = 0.05
 LEAF_ANGLES = (0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0)
-LEAF_STEP = 5e-3            # RK4 step of integrate_leaf
+LEAF_STEPS = 256            # RK4 steps of integrate_leaf
+LEAF_PHI = np.arccos(0.96)  # leaves span LEAF_PHI..pi - LEAF_PHI: t 0.02..0.98
 MAX_DT = 0.025              # largest continuation step of continue_family
 MIN_DT = 1e-4               # a smaller step ends the branch (StepUnderflow)
 
@@ -82,11 +82,11 @@ def characteristic_field(scenario, z, trim=POLE_TRIM):
 
 @dataclass
 class CharacteristicLeaf:
-    """An integral curve of the characteristic field, from one pole to the other.
+    """A characteristic leaf as the graph u = U(phi) over the polar angle phi
+    of the ball-type parametrization, from near pole p to near pole q.
 
-    points run from the p-side to the q-side; u/v are the surface coordinates
-    of the points, with u unwrapped along the leaf; t is the leaf parameter
-    (normalized v-height, 0 at the p pole and 1 at the q pole).
+    points = parametrization(phi, u); v = cos phi is the height and
+    t = (1 - v) / 2 the leaf parameter (0 at the p pole, 1 at the q pole).
     """
 
     points: np.ndarray
@@ -94,15 +94,14 @@ class CharacteristicLeaf:
     v: np.ndarray
     t: np.ndarray
 
-    def point_at(self, t):
-        t = float(t)
-        coords = [np.interp(t, self.t, self.points[:, k]) for k in range(4)]
-        return np.asarray(coords)
+    def point_at(self, t, surface):
+        """The surface point of the leaf at parameter t."""
+        return surface.parametrization(np.arccos(1.0 - 2.0 * t),
+                                       np.interp(t, self.t, self.u))
 
     def membership(self, surface):
         """Residual function z -> wrapped angle offset from the leaf."""
-        order = np.argsort(self.v)
-        v_tab, u_tab = self.v[order], self.u[order]
+        v_tab, u_tab = self.v[::-1], self.u[::-1]   # np.interp: v ascending
 
         def member(z):
             uv = surface.to_uv(np.asarray(z, dtype=float))
@@ -113,70 +112,49 @@ class CharacteristicLeaf:
         return member
 
 
-def integrate_leaf(scenario, start) -> CharacteristicLeaf:
-    """Integrate the characteristic field from near pole p to near pole q.
+def integrate_leaf(scenario, u0) -> CharacteristicLeaf:
+    """The leaf through angle u0 at t = 0.02, up to t = 0.98.
 
-    Fourth-order Runge-Kutta on the unit line field with a closed-form
-    surface projection after every step; the line field is oriented by
-    continuity (initially toward the q pole).
+    With z = parametrization(phi, u) and n the characteristic field, the
+    leaf solves du/dphi = -sin phi (x1 n_y1 - y1 n_x1) / (|z1|^2 n_x2);
+    classical RK4 takes LEAF_STEPS uniform steps in phi.  A non-finite slope
+    (n tangent to a latitude) raises LeafStalled.
     """
-    step, trim = LEAF_STEP, POLE_TRIM
-    surface = scenario.surface
-    p_pole, q_pole = scenario.poles[0].location, scenario.poles[-1].location
-    z = surface.project(np.asarray(start, dtype=float))
-    prev_dir = q_pole - p_pole          # rhs reads only the sign of d @ ref
-    pts = [z]
+    param = scenario.surface.parametrization
 
-    def rhs(y, ref):
-        d = characteristic_field(scenario, y, trim=trim * 0.5)
-        return -d if d @ ref < 0 else d
+    def slope(phi, u):
+        z = param(phi, u)
+        n = characteristic_field(scenario, z)
+        du = -np.sin(phi) * (z[0] * n[1] - z[1] * n[0]) \
+            / ((z[0] ** 2 + z[1] ** 2) * n[2])
+        if not np.isfinite(du):
+            raise LeafStalled(f"leaf slope is not finite at phi = {phi:.6g}")
+        return du
 
-    for n in range(20000):
-        try:
-            k1 = rhs(z, prev_dir)
-            k2 = rhs(surface.project(z + 0.5 * step * k1), k1)
-            k3 = rhs(surface.project(z + 0.5 * step * k2), k2)
-            k4 = rhs(surface.project(z + step * k3), k3)
-        except ComplexPointProximity:
-            break
-        z = surface.project(z + step * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0)
-        prev_dir = k1
-        pts.append(z)
-        dq, d0 = z - q_pole, z - pts[0]
-        if dq @ dq < trim ** 2:
-            break
-        if n > 10 and d0 @ d0 < (0.5 * step) ** 2:
-            raise ClosedLeafDetected("leaf returned to its starting point")
-    else:
-        raise LeafStalled("leaf did not reach the target pole in 20000 steps")
-    if np.linalg.norm(pts[-1] - q_pole) > 2 * trim:
-        raise LeafStalled("leaf terminated away from the target pole")
-
-    pts = np.asarray(pts)
-    uv = surface.to_uv(pts)
-    u = np.unwrap(uv[:, 0])
-    v = uv[:, 1]
-    v_p = float(surface.to_uv(p_pole)[1])
-    v_q = float(surface.to_uv(q_pole)[1])
-    t = (v_p - v) / (v_p - v_q)
-    return CharacteristicLeaf(points=pts, u=u, v=v, t=t)
+    phi = np.linspace(LEAF_PHI, np.pi - LEAF_PHI, LEAF_STEPS + 1)
+    h = phi[1] - phi[0]
+    u = np.empty_like(phi)
+    u[0] = u0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(LEAF_STEPS):
+            k1 = slope(phi[i], u[i])
+            k2 = slope(phi[i] + 0.5 * h, u[i] + 0.5 * h * k1)
+            k3 = slope(phi[i] + 0.5 * h, u[i] + 0.5 * h * k2)
+            k4 = slope(phi[i + 1], u[i] + h * k3)
+            u[i + 1] = u[i] + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    v = np.cos(phi)
+    return CharacteristicLeaf(points=param(phi, u), u=u, v=v,
+                              t=0.5 * (1.0 - v))
 
 
 def reference_leaves(scenario):
-    """The three pinned leaves, started on a small circle around pole p: at
-    the angles LEAF_ANGLES and near the height where the leaf parameter t is
-    0.02 (ball-type spheres)."""
-    v_p, v_q = (scenario.surface.to_uv(pole.location)[1]
-                for pole in (scenario.poles[0], scenario.poles[-1]))
-    v0 = v_p - 0.02 * (v_p - v_q)
-    return [integrate_leaf(scenario, scenario.surface.project(
-        np.array([0.3 * np.cos(ang), 0.3 * np.sin(ang), v0, 0.0])))
-        for ang in LEAF_ANGLES]
+    """The three pinned leaves, through the angles LEAF_ANGLES at t = 0.02
+    (ball-type spheres)."""
+    return [integrate_leaf(scenario, u0) for u0 in LEAF_ANGLES]
 
 
 def make_pinset(scenario, leaves, t) -> PinSet:
-    point = leaves[0].point_at(t)
-    point = scenario.surface.project(point)
+    point = leaves[0].point_at(t, scenario.surface)
     tb = scenario.surface.tangent_basis(point)
     return PinSet(point=point,
                   member2=leaves[1].membership(scenario.surface),
@@ -282,8 +260,7 @@ def _initial_guess(scenario, leaves, t, grid, n_taylor) -> BishopDisc:
     """Flat-circle seed through the leaf-1 pin at parameter t."""
     from .calculus import DiscField
 
-    pin = leaves[0].point_at(t)
-    pin = scenario.surface.project(pin)
+    pin = leaves[0].point_at(t, scenario.surface)
     z1 = pin[0] + 1j * pin[1]
     c1 = np.zeros(n_taylor + 1, dtype=complex)
     c1[1] = z1                     # boundary circle through the pin at zeta = 1

@@ -84,11 +84,8 @@ class ComplexPointProximity(LeviflatError):
 
 
 class LeafStalled(LeviflatError):
-    """Leaf integration step size underflowed."""
-
-
-class ClosedLeafDetected(LeviflatError):
-    """Characteristic trajectory re-entered its own tube (should not exist)."""
+    """Characteristic leaf is no longer a graph over the polar angle: the
+    field is tangent to a latitude, so the leaf slope is not finite."""
 
 
 class BlowUp(LeviflatError):

@@ -93,19 +93,6 @@ def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
         g[..., 1, :] = r_grad(z)
         return g
 
-    def project(z):
-        z = np.asarray(z, dtype=float)
-        out = z.copy()
-        out[..., 3] = 0.0
-        a = out[..., 0] ** 2 + out[..., 1] ** 2
-        b = out[..., 2] ** (2 * m)
-        if m == 1:
-            u = 1.0 / (a + b)
-        else:  # m = 2: s^2 a + s^4 b = 1, stable root of the quadratic in s^2
-            u = 2.0 / (a + np.sqrt(a ** 2 + 4.0 * b))
-        out[..., :3] *= np.sqrt(u)[..., None]
-        return out
-
     def parametrization(phi, alpha):
         phi = np.asarray(phi, dtype=float)
         alpha = np.asarray(alpha, dtype=float)
@@ -144,7 +131,7 @@ def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
     surface = SurfacePatch(
         rho_pair=rho_pair, rho_grad=rho_grad, gamma=0.0,
         parametrization=parametrization, area_elements=area_elements,
-        to_uv=_to_uv, project=project,
+        to_uv=_to_uv,
         poles=np.array([p.location for p in poles]))
     return Scenario(name=name, chart=chart, surface=surface, poles=poles)
 

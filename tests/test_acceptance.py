@@ -149,7 +149,6 @@ def test_criterion_4_ball_end_to_end(capsys, ball_result):
 
     flat_h, area_err, max_area = 0.0, 0.0, 0.0
     mus, crossings = set(), set()
-    leaves = C.reference_leaves(sc)
     for disc, mon in zip(result.discs, result.monitors):
         pts = G.to_complex(disc.points().reshape(-1, 4))
         c = pts[0, 1]                       # disc's own constant z2 level

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from leviflat import cli, continuation, geometry
@@ -138,6 +139,18 @@ class TestMain:
                         + (out_dir / "gamma_cloud.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_quadric_area_exact(self, tmp_path):
+        # oracle: the model disc of radius r bounds an ellipse of area
+        # pi r / sqrt(1 - gamma^2)
+        cfg = write_config(tmp_path, scenario="model-quadric", gamma=0.7)
+        out_dir = tmp_path / "out"
+        assert cli.main(["--out", str(out_dir), "--quiet", "run", cfg]) == 0
+        fam = json.loads((out_dir / "family.json").read_text())
+        for disc in fam["discs"]:
+            exact = np.pi * disc["t"] / np.sqrt(1.0 - 0.7 ** 2)
+            assert disc["diagnostics"]["area"] == pytest.approx(exact,
+                                                               rel=1e-12)
+
     def test_config_error_exit_and_marker(self, tmp_path, capsys):
         cfg = write_config(tmp_path, scenario="nonsense")
         out_dir = tmp_path / "out"
@@ -243,8 +256,13 @@ class TestMain:
         assert code == 0
         lines = (out_dir / "leaf.csv").read_text().strip().split("\n")
         assert lines[0] == "leaf,t,u,v,x1,y1,x2,y2"
-        labels = {line.split(",")[0] for line in lines[1:]}
-        assert labels == {"0", "1", "2"}
+        rows = np.array([[float(x) for x in line.split(",")[:2]]
+                         for line in lines[1:]])
+        assert sorted(set(rows[:, 0])) == [0.0, 1.0, 2.0]
+        for k in range(3):
+            t = rows[rows[:, 0] == k, 1]
+            assert len(t) == 257
+            assert t[0] == pytest.approx(0.02) and t[-1] == pytest.approx(0.98)
 
     def test_leaf_needs_two_complex_points(self, tmp_path):
         cfg = write_config(tmp_path, scenario="model-quadric")

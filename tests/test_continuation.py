@@ -12,6 +12,7 @@ from leviflat.calculus import DiscGrid
 from leviflat.errors import (
     BlowUp,
     ComplexPointProximity,
+    LeafStalled,
     NewtonStalled,
     NoMatch,
 )
@@ -107,12 +108,12 @@ class TestCharacteristicField:
     @pytest.mark.parametrize("name", SPHERES)
     def test_degeneracy_calibrated_on_pole_approach(self, name):
         # the closed-form test fires wherever sigma_3 < 1e-6 and passes
-        # wherever sigma_3 > 1e-5
+        # wherever sigma_3 > 1e-5; below polar angle ~1e-8 the
+        # parametrization rounds to the pole itself, where it must fire too
         sc = make_scenario(name)
         fired, passed = [], []
-        for dist in np.logspace(-2, -9, 15):
-            z = sc.surface.project(
-                np.array([dist * np.cos(0.3), dist * np.sin(0.3), 1.0, 0.0]))
+        for phi in np.logspace(-2, -9, 15):
+            z = sc.surface.parametrization(phi, 0.3)
             sigma_3 = np.linalg.svd(svd_rows(sc, z), compute_uv=False)[-1]
             try:
                 d = C.characteristic_field(sc, z, trim=0.0)
@@ -136,15 +137,46 @@ class TestCharacteristicField:
     @pytest.mark.parametrize("name", SPHERES)
     def test_leaf_matches_svd_reference(self, name, monkeypatch):
         sc = make_scenario(name)
-        seed = sc.surface.project(np.array([-0.15, 0.26, 0.96, 0.0]))
-        leaf = C.integrate_leaf(sc, seed)
+        leaf = C.integrate_leaf(sc, 2.1)
         monkeypatch.setattr(C, "characteristic_field", svd_field)
-        ref = C.integrate_leaf(sc, seed)
-        assert leaf.points.shape == ref.points.shape
+        ref = C.integrate_leaf(sc, 2.1)
+        assert np.max(np.abs(leaf.u - ref.u)) < 1e-13
         assert np.max(np.abs(leaf.points - ref.points)) < 1e-13
 
 
 class TestLeaves:
+    @pytest.mark.parametrize("name", ["ball", "weak-m2"])
+    def test_leaves_are_meridians(self, name):
+        # oracle: with the standard structure the field has no angular part
+        # (Im(conj(z1) dz1) = 0), so every leaf keeps its starting angle
+        for leaf, u0 in zip(C.reference_leaves(make_scenario(name)),
+                            C.LEAF_ANGLES):
+            assert np.max(np.abs(leaf.u - u0)) < 1e-12
+
+    def test_leaf_tangent_is_characteristic(self):
+        # the chord direction of consecutive leaf points (central
+        # differences) is the characteristic line, up to O(h^2)
+        sc = make_scenario("perturbed-ball", eps=0.05)
+        for leaf in C.reference_leaves(sc):
+            tang = np.gradient(leaf.points, axis=0)[1:-1]
+            tang /= np.linalg.norm(tang, axis=-1, keepdims=True)
+            cos = np.einsum("ij,ij->i", tang,
+                            C.characteristic_field(sc, leaf.points[1:-1]))
+            assert np.max(np.sqrt(1.0 - np.minimum(cos ** 2, 1.0))) < 1e-4
+
+    def test_leaf_step_converged(self, monkeypatch):
+        sc = make_scenario("perturbed-ball", eps=0.05)
+        coarse = C.reference_leaves(sc)
+        monkeypatch.setattr(C, "LEAF_STEPS", 2 * C.LEAF_STEPS)
+        for a, b in zip(coarse, C.reference_leaves(sc)):
+            assert np.max(np.abs(a.u - b.u[::2])) < 1e-11
+
+    def test_latitude_tangent_field_stalls(self, ball, monkeypatch):
+        monkeypatch.setattr(C, "characteristic_field",
+                            lambda sc, z: np.array([0.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(LeafStalled):
+            C.integrate_leaf(ball, 0.0)
+
     def test_leaf_stays_on_surface(self, ball, leaves):
         leaf = leaves[0]
         assert np.max(np.abs(ball.surface.rho_pair(leaf.points))) < 1e-9

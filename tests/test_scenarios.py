@@ -115,18 +115,6 @@ class TestSurface:
                   - sc.surface.rho_pair(pts - dp)) / (2 * eps)
             assert np.max(np.abs(fd - grad[..., :, k])) < 1e-6
 
-    @pytest.mark.parametrize("name", ["ball", "weak-m2", "perturbed-ball"])
-    def test_projection(self, name):
-        sc = make_scenario(name)
-        on_surface = surface_samples(sc, n=32, seed=4)
-        # identity on the surface
-        assert np.max(np.abs(sc.surface.project(on_surface) - on_surface)) \
-            < 1e-12
-        # off-surface points land back on it
-        off = on_surface * 1.05 + np.array([0, 0, 0, 0.1])
-        back = sc.surface.project(off)
-        assert np.max(np.abs(sc.surface.rho_pair(back))) < 1e-12
-
     @pytest.mark.parametrize("name,m", [("ball", 1), ("weak-m2", 2)])
     def test_total_unsigned_symplectic_area(self, name, m):
         """The total |omega|-mass of the sphere is exactly 2 pi.

@@ -1,8 +1,9 @@
 """Every module of the package compiles without warnings, every
 module-level function and class is reached from the package, a demo or an
 acceptance criterion, every class field is read somewhere, no module of
-the package or the tests imports a name it does not use, and every function
-the benchmark traces still exists."""
+the package or the tests imports a name it does not use, no function
+assigns a name it never reads, and every function the benchmark traces
+still exists."""
 
 import ast
 import importlib.util
@@ -94,6 +95,36 @@ def unused_imports(tree):
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def dead_stores(tree):
+    """(line, name) of each plain assignment to a name that its function
+    (nested functions included) never reads; an augmented assignment counts
+    as a read, and global or nonlocal names are exempt."""
+    dead = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read, stores = set(), []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) \
+                    and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Assign):
+                stores += [(node.lineno, t.id) for t in node.targets
+                           if isinstance(t, ast.Name)]
+        dead.update(s for s in stores if s[1] not in read)
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS + DEMOS,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dead_stores(path):
+    assert dead_stores(ast.parse(path.read_text())) == []
 
 
 def test_trace_targets_resolve(monkeypatch):
