@@ -124,12 +124,8 @@ def validate_adapted(model: EllipticPointModel) -> dict:
     # first column of A restricted to {z2 = 0}: value and z1-derivatives at 0
     h = 1e-4
     col = lambda z: chart.deformation_at(z)[..., :, 0]
-    d_first = max(
-        np.max(np.abs((col(np.array([h, 0, 0, 0])) - col(np.array([-h, 0, 0, 0])))
-                      / (2 * h))),
-        np.max(np.abs((col(np.array([0, h, 0, 0])) - col(np.array([0, -h, 0, 0])))
-                      / (2 * h))),
-    )
+    d_first = max(np.max(np.abs((col(e) - col(-e)) / (2 * h)))
+                  for e in h * np.eye(4)[:2])
     if d_first > 1e-6:
         raise AdaptationFailure(
             f"first column of A is not o(|z|) on z2 = 0 (slope {d_first:.3e})")
@@ -306,15 +302,11 @@ def _normalizing_frame(Jp, t):
     """Real 4x4 L with columns (t, Jt, v, Jv); L^-1 J(p) L = J_st."""
     t = np.asarray(t, dtype=float)
     cols = [t, Jp @ t]
-    best, best_res = None, -1.0
-    for k in range(4):
-        e = np.zeros(4)
-        e[k] = 1.0
-        Q = np.stack(cols, axis=1)
-        res = e - Q @ np.linalg.lstsq(Q, e, rcond=None)[0]
-        nr = np.linalg.norm(res)
-        if nr > best_res:
-            best, best_res = e, nr
+    # the first coordinate axis farthest from span(t, Jt) completes the frame
+    Q, I = np.stack(cols, axis=1), np.eye(4)
+    res = [np.linalg.norm(e - Q @ np.linalg.lstsq(Q, e, rcond=None)[0])
+           for e in I]
+    best = I[np.argmax(res)]
     cols += [best, Jp @ best]
     L = np.stack(cols, axis=1)
     if abs(np.linalg.det(L)) < 1e-12:
@@ -473,8 +465,7 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
 
     coeffs = np.zeros((2, n), dtype=complex)
     for c, init_c in zip(coeffs, init.h_coeffs):
-        m = min(n, len(init_c))
-        c[:m] = init_c[:m]
+        c[:min(n, len(init_c))] = init_c[:n]
     x = _pack(coeffs)
 
     def h_rows(xb):

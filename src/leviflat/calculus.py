@@ -215,8 +215,7 @@ class DiscGrid:
     def center_dz(self, values):
         """Holomorphic derivative at zeta = 0 (first-mode radial slope)."""
         F = np.fft.fft(values, axis=-1) / self.n_theta
-        pos1 = 1  # mode m = +1
-        prof = F[..., :, pos1] / self.rho
+        prof = F[..., :, 1] / self.rho         # mode m = +1
         return prof @ self._center_row
 
     def laplacian_at_center(self, values):
@@ -229,8 +228,7 @@ class DiscGrid:
         # d/d(rho^2) at 0 equals 2 * d/dx at x = -1; T_k'(-1) = (-1)^(k+1) k^2
         k = np.arange(deg + 1)
         tkp = ((-1.0) ** (k + 1)) * k**2
-        a = 2.0 * (tkp @ coef)
-        out = 4.0 * a
+        out = 8.0 * (tkp @ coef)        # Laplacian = 4 d/d(rho^2)
         return out[0] if np.ndim(values) == 2 else out.reshape(np.shape(values)[:-2])
 
 

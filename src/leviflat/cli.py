@@ -114,7 +114,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError("parameter 'epsilon' only applies to perturbed-ball")
     if "m" in raw:
         expected = {"ball": 1, "perturbed-ball": 1, "weak-m2": 2}.get(name)
-        if expected is not None and raw["m"] != expected:
+        if expected is None:
+            raise ConfigError(f"parameter 'm' does not apply to '{name}'")
+        if raw["m"] != expected:
             raise ConfigError(
                 f"parameter m = {raw['m']} is incompatible with '{name}'")
     gamma = raw.get("gamma")
@@ -123,8 +125,11 @@ def load_config(path) -> RunConfig:
             f"gamma = {gamma} is not elliptic (needs 0 <= gamma < 1; "
             "gamma = 1 is the parabolic case)")
     for key in ("newton_tol", "glue_tol", "grad_cap"):
-        if key in raw and not raw[key] > 0:
-            raise ConfigError(f"tolerance '{key}' must be positive")
+        if key in raw and not 0 < raw[key] < np.inf:
+            raise ConfigError(f"tolerance '{key}' must be positive and finite")
+    if raw.get("seed", 0) < 0:
+        raise ConfigError(f"config field 'seed' must be non-negative, "
+                          f"got {raw['seed']}")
     if "n_taylor" in raw and raw["n_taylor"] < 8:
         raise ConfigError("resolution 'n_taylor' must be at least 8")
 
@@ -202,6 +207,15 @@ def _write_family_files(result, scenario, config, report, out_dir):
         report.manifest.append(os.path.basename(path))
 
 
+def _reference_leaves(scenario, report):
+    """The three pinned leaves, with their stage time and Picard sweeps."""
+    t0 = time.time()
+    leaves = continuation.reference_leaves(scenario)
+    report.stage("integrate_leaf", "PASS", time.time() - t0)
+    report.diagnostics["leaf_sweeps"] = [leaf.sweeps for leaf in leaves]
+    return leaves
+
+
 def _guarded(body, config: RunConfig, quiet: bool) -> int:
     """Run the entry point body(config, report, quiet).  A LeviflatError
     ends it with FAIL and exit 2, any other exception with ERROR and exit 1;
@@ -242,9 +256,7 @@ def _run_scenario(config: RunConfig, report: RunReport, quiet) -> int:
         bishop.validate_adapted(pole.model)
     report.stage("validate_adapted", "PASS", time.time() - t0)
 
-    t0 = time.time()
-    leaves = continuation.reference_leaves(scenario)
-    report.stage("integrate_leaf", "PASS", time.time() - t0)
+    leaves = _reference_leaves(scenario, report)
 
     grid = DiscGrid(config.n_theta, config.n_rho)
     rejected = report.diagnostics["rejected_steps"] = []
@@ -344,16 +356,11 @@ def _run_leaf(config: RunConfig, report: RunReport, quiet) -> int:
     if len(scenario.poles) != 2:
         raise ConfigError(f"leaf needs a sphere with two complex points; "
                           f"{config.scenario} has {len(scenario.poles)}")
-    t0 = time.time()
-    leaves = continuation.reference_leaves(scenario)
-    report.stage("integrate_leaf", "PASS", time.time() - t0)
+    leaves = _reference_leaves(scenario, report)
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for k, leaf in enumerate(leaves):
-        block = np.column_stack(
-            [np.full(len(leaf.t), float(k)), leaf.t, leaf.u, leaf.v,
-             leaf.points])
-        rows.append(block)
+    rows = [np.column_stack([np.full(len(leaf.t), float(k)), leaf.t, leaf.u,
+                             leaf.v, leaf.points])
+            for k, leaf in enumerate(leaves)]
     serialize.write_csv(
         os.path.join(out_dir, "leaf.csv"),
         ["leaf", "t", "u", "v", "x1", "y1", "x2", "y2"],
@@ -376,15 +383,13 @@ def _run_levi(config: RunConfig, report: RunReport, quiet) -> int:
     t0 = time.time()
     # Levi form of r at interior samples, random complex-tangent-free dirs
     vals = []
-    n = 0
-    while n < 24:
+    while len(vals) < 24:
         p = rng.uniform(-0.9, 0.9, 4)
         if chart.defining_r(p) >= -0.05:
             continue
         t = rng.standard_normal(4)
         t /= np.linalg.norm(t)
         vals.append(geometry.levi_form(chart, chart.defining_r, p, t))
-        n += 1
     report.diagnostics["levi_r_min"] = float(np.min(vals))
     report.diagnostics["levi_r_max"] = float(np.max(vals))
     report.stage("levi_samples", "PASS", time.time() - t0)

@@ -11,6 +11,7 @@ and assembled into the Levi-flat filling hypersurface.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -36,7 +37,10 @@ from .geometry import disc_area, levi_form, to_complex, to_real
 
 POLE_TRIM = 0.05
 LEAF_ANGLES = (0.0, 2.0 * np.pi / 3.0, -2.0 * np.pi / 3.0)
-LEAF_STEPS = 256            # RK4 steps of integrate_leaf
+LEAF_NODES = 32             # Chebyshev degree of the leaf slope
+LEAF_MAX_SWEEPS = 50        # Picard sweeps before LeafStalled
+LEAF_TOL = 1e-14            # the last sweep moves u by at most this
+LEAF_STEPS = 256            # uniform steps of the tabulated leaf
 LEAF_PHI = np.arccos(0.96)  # leaves span LEAF_PHI..pi - LEAF_PHI: t 0.02..0.98
 MAX_DT = 0.025              # largest continuation step of continue_family
 MIN_DT = 1e-4               # a smaller step ends the branch (StepUnderflow)
@@ -85,14 +89,16 @@ class CharacteristicLeaf:
     """A characteristic leaf as the graph u = U(phi) over the polar angle phi
     of the ball-type parametrization, from near pole p to near pole q.
 
-    points = parametrization(phi, u); v = cos phi is the height and
-    t = (1 - v) / 2 the leaf parameter (0 at the p pole, 1 at the q pole).
+    At LEAF_STEPS + 1 uniform angles phi: points = parametrization(phi, u);
+    v = cos phi is the height and t = (1 - v) / 2 the leaf parameter (0 at
+    the p pole, 1 at the q pole).  sweeps: Picard sweeps (field calls).
     """
 
     points: np.ndarray
     u: np.ndarray
     v: np.ndarray
     t: np.ndarray
+    sweeps: int
 
     def point_at(self, t, surface):
         """The surface point of the leaf at parameter t."""
@@ -112,39 +118,58 @@ class CharacteristicLeaf:
         return member
 
 
+@functools.cache
+def _leaf_operators(nodes, steps):
+    """Chebyshev-Lobatto angles phi_j on [LEAF_PHI, pi - LEAF_PHI] and the
+    matrices taking the slope at them to its integral from LEAF_PHI, at the
+    same angles and at steps + 1 uniform ones."""
+    cheb = np.polynomial.chebyshev
+    s = -np.cos(np.pi * np.arange(nodes + 1) / nodes)
+    half = 0.5 * np.pi - LEAF_PHI
+    integral = half * cheb.chebint(np.eye(nodes + 1), lbnd=-1) \
+        @ np.linalg.inv(cheb.chebvander(s, nodes))
+    s_out = np.linspace(-1.0, 1.0, steps + 1)
+    return (0.5 * np.pi + half * s, cheb.chebvander(s, nodes + 1) @ integral,
+            cheb.chebvander(s_out, nodes + 1) @ integral)
+
+
 def integrate_leaf(scenario, u0) -> CharacteristicLeaf:
     """The leaf through angle u0 at t = 0.02, up to t = 0.98.
 
     With z = parametrization(phi, u) and n the characteristic field, the
-    leaf solves du/dphi = -sin phi (x1 n_y1 - y1 n_x1) / (|z1|^2 n_x2);
-    classical RK4 takes LEAF_STEPS uniform steps in phi.  A non-finite slope
-    (n tangent to a latitude) raises LeafStalled.
+    leaf solves du/dphi = -sin phi (x1 n_y1 - y1 n_x1) / (|z1|^2 n_x2).
+    Chebyshev-Picard iteration (Clenshaw & Norton 1963): each sweep sets
+    u <- u0 + Q du(phi, u) at the LEAF_NODES + 1 Chebyshev-Lobatto angles,
+    with one field call for all of them, until it moves u by at most
+    LEAF_TOL.  The leaf is the integral of the last slope at LEAF_STEPS + 1
+    uniform angles.  A non-finite slope (n tangent to a latitude), or no
+    convergence in LEAF_MAX_SWEEPS sweeps, raises LeafStalled.
     """
     param = scenario.surface.parametrization
-
-    def slope(phi, u):
+    phi, Q, P = _leaf_operators(LEAF_NODES, LEAF_STEPS)
+    u = np.full_like(phi, u0)
+    for sweep in range(1, LEAF_MAX_SWEEPS + 1):
         z = param(phi, u)
         n = characteristic_field(scenario, z)
-        du = -np.sin(phi) * (z[0] * n[1] - z[1] * n[0]) \
-            / ((z[0] ** 2 + z[1] ** 2) * n[2])
-        if not np.isfinite(du):
-            raise LeafStalled(f"leaf slope is not finite at phi = {phi:.6g}")
-        return du
-
+        x, y = z[..., 0], z[..., 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            du = -np.sin(phi) * (x * n[..., 1] - y * n[..., 0]) \
+                / ((x ** 2 + y ** 2) * n[..., 2])
+        if not np.all(np.isfinite(du)):
+            raise LeafStalled("leaf slope is not finite at phi = "
+                              f"{phi[~np.isfinite(du)][0]:.6g}")
+        u_new = u0 + Q @ du
+        change, u = np.max(np.abs(u_new - u)), u_new
+        if change <= LEAF_TOL:
+            break
+    else:
+        raise LeafStalled(f"leaf did not converge in {LEAF_MAX_SWEEPS} "
+                          f"sweeps (last correction {change:.3e})")
     phi = np.linspace(LEAF_PHI, np.pi - LEAF_PHI, LEAF_STEPS + 1)
-    h = phi[1] - phi[0]
-    u = np.empty_like(phi)
-    u[0] = u0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(LEAF_STEPS):
-            k1 = slope(phi[i], u[i])
-            k2 = slope(phi[i] + 0.5 * h, u[i] + 0.5 * h * k1)
-            k3 = slope(phi[i] + 0.5 * h, u[i] + 0.5 * h * k2)
-            k4 = slope(phi[i + 1], u[i] + h * k3)
-            u[i + 1] = u[i] + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    u = u0 + P @ du
     v = np.cos(phi)
     return CharacteristicLeaf(points=param(phi, u), u=u, v=v,
-                              t=0.5 * (1.0 - v))
+                              t=0.5 * (1.0 - v), sweeps=sweep)
 
 
 def reference_leaves(scenario):
@@ -411,6 +436,13 @@ def _disc_tangents(disc: BishopDisc):
     return to_real(dth)
 
 
+def _quadratic_terms(x):
+    """1, x_i and the products x_i x_j (i <= j) of coordinates x (..., 3)."""
+    i, j = np.triu_indices(3)
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x,
+                           x[..., i] * x[..., j]], axis=-1)
+
+
 def levi_certificate(result: FillingResult, chart, n_samples=40):
     """Levi form of the assembled hypersurface at random interior samples.
 
@@ -457,24 +489,12 @@ def levi_certificate(result: FillingResult, chart, n_samples=40):
         xi = Q @ tang.T               # (k, 3) tangential coordinates
         eta = Q @ normal
         # quadratic graph fit eta = q(xi)
-        cols = [np.ones(len(xi)), xi[:, 0], xi[:, 1], xi[:, 2],
-                xi[:, 0] ** 2, xi[:, 1] ** 2, xi[:, 2] ** 2,
-                xi[:, 0] * xi[:, 1], xi[:, 0] * xi[:, 2], xi[:, 1] * xi[:, 2]]
-        M = np.stack(cols, axis=1)
-        coef, *_ = np.linalg.lstsq(M, eta, rcond=None)
+        coef, *_ = np.linalg.lstsq(_quadratic_terms(xi), eta, rcond=None)
 
         def r_loc(z):
             d = np.asarray(z, dtype=float) - x0
-            s = np.einsum("...i,i->...", d, normal)
             x = np.einsum("...i,ji->...j", d, tang)
-            q = (coef[0] + coef[1] * x[..., 0] + coef[2] * x[..., 1]
-                 + coef[3] * x[..., 2]
-                 + coef[4] * x[..., 0] ** 2 + coef[5] * x[..., 1] ** 2
-                 + coef[6] * x[..., 2] ** 2
-                 + coef[7] * x[..., 0] * x[..., 1]
-                 + coef[8] * x[..., 0] * x[..., 2]
-                 + coef[9] * x[..., 1] * x[..., 2])
-            return s - q
+            return d @ normal - _quadratic_terms(x) @ coef
 
         X = tangents[i]
         nX = np.linalg.norm(X)

@@ -84,8 +84,9 @@ class ComplexPointProximity(LeviflatError):
 
 
 class LeafStalled(LeviflatError):
-    """Characteristic leaf is no longer a graph over the polar angle: the
-    field is tangent to a latitude, so the leaf slope is not finite."""
+    """Characteristic leaf not found as a graph over the polar angle: the
+    field is tangent to a latitude (the slope is not finite), or the Picard
+    sweeps did not converge."""
 
 
 class BlowUp(LeviflatError):

@@ -225,7 +225,6 @@ def levi_form_via_disc(chart: AmbientChart, rho, p, t):
 @dataclass
 class PshReport:
     min_value: float
-    argmin: tuple
     passed: bool
     values: np.ndarray
     positive_fraction: float
@@ -239,7 +238,6 @@ def check_plurisubharmonic(chart: AmbientChart, rho, samples) -> PshReport:
     imin = int(np.argmin(vals))
     return PshReport(
         min_value=float(vals[imin]),
-        argmin=samples[imin],
         passed=bool(vals[imin] >= -1e-8),
         values=vals,
         positive_fraction=float(np.mean(vals > 0)),

@@ -143,21 +143,13 @@ def _ball_pole(chart: AmbientChart, m: int, sign: int) -> PoleInfo:
 
     def to_adapted(z):
         z = np.asarray(z, dtype=float)
-        w = np.empty(z.shape)
-        w[..., 0] = z[..., 0]
-        w[..., 1] = z[..., 1]
-        w[..., 2] = scale * (1.0 - sign * z[..., 2])
-        w[..., 3] = -scale * sign * z[..., 3]
-        return w
+        return np.stack([z[..., 0], z[..., 1], scale * (1.0 - sign * z[..., 2]),
+                         -scale * sign * z[..., 3]], axis=-1)
 
     def from_adapted(w):
         w = np.asarray(w, dtype=float)
-        z = np.empty(w.shape)
-        z[..., 0] = w[..., 0]
-        z[..., 1] = w[..., 1]
-        z[..., 2] = sign * (1.0 - w[..., 2] / scale)
-        z[..., 3] = -sign * w[..., 3] / scale
-        return z
+        return np.stack([w[..., 0], w[..., 1], sign * (1.0 - w[..., 2] / scale),
+                         -sign * w[..., 3] / scale], axis=-1)
 
     # dw/dz = diag(1, -sign * scale) as a complex-linear map
     dc = np.array([1.0, -sign * scale])
@@ -200,17 +192,14 @@ def _model_quadric(gamma: float) -> Scenario:
 
     def rho_grad(z):
         z = np.asarray(z, dtype=float)
-        g1 = np.zeros(z.shape)
-        g1[..., 0] = -2.0 * (1.0 + gamma) * z[..., 0]
-        g1[..., 1] = -2.0 * (1.0 - gamma) * z[..., 1]
-        g1[..., 2] = 1.0
-        g2 = np.zeros(z.shape)
-        g2[..., 3] = 1.0
-        return np.stack([g1, g2], axis=-2)
+        g = np.zeros(z.shape[:-1] + (2, 4))
+        g[..., 0, 0] = -2.0 * (1.0 + gamma) * z[..., 0]
+        g[..., 0, 1] = -2.0 * (1.0 - gamma) * z[..., 1]
+        g[..., 0, 2] = g[..., 1, 3] = 1.0
+        return g
 
-    chart = AmbientChart(defining_r=lambda z: P(np.asarray(z, float))
-                         - np.asarray(z, float)[..., 2],
-                         psi=_psi)
+    chart = AmbientChart(
+        defining_r=lambda z: P(z) - np.asarray(z, float)[..., 2], psi=_psi)
     identity = lambda z: np.asarray(z, dtype=float).copy()
     model = EllipticPointModel(gamma=gamma, chart=chart, rho=rho_pair)
     pole = PoleInfo(location=np.zeros(4), model=model, to_adapted=identity,

@@ -86,7 +86,7 @@ def disc_to_dict(disc):
 
 
 def family_to_dict(result, scenario_name, resolution, extra=None):
-    d = {
+    return {
         "scenario": scenario_name,
         "resolution": {"n_theta": int(resolution[0]),
                        "n_rho": int(resolution[1])},
@@ -96,10 +96,8 @@ def family_to_dict(result, scenario_name, resolution, extra=None):
         "n_discs": len(result.discs),
         "t_values": np.asarray(result.t_values, dtype=float),
         "discs": [disc_to_dict(d) for d in result.discs],
+        **(extra or {}),
     }
-    if extra:
-        d.update(extra)
-    return d
 
 
 def write_family(path, result, scenario_name, resolution):

@@ -86,6 +86,21 @@ class TestLoadConfig:
             cli.load_config(write_config(
                 tmp_path, scenario="ball", newton_tol=-1e-10))
 
+    @pytest.mark.parametrize("key", ["newton_tol", "glue_tol", "grad_cap"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_finite_tolerances(self, tmp_path, key, value):
+        # json writes these as the tokens Infinity and NaN, which json reads
+        with pytest.raises(ConfigError, match=f"'{key}' must be positive "
+                                              "and finite"):
+            cli.load_config(write_config(tmp_path, scenario="ball",
+                                         **{key: value}))
+
+    def test_m_not_for_quadric(self, tmp_path):
+        with pytest.raises(ConfigError,
+                           match="'m' does not apply to 'model-quadric'"):
+            cli.load_config(write_config(
+                tmp_path, scenario="model-quadric", m=7))
+
     def test_minimum_resolution(self, tmp_path):
         with pytest.raises(ConfigError):
             cli.load_config(write_config(tmp_path, scenario="ball", n_rho=4))
@@ -172,6 +187,14 @@ class TestMain:
         assert code == 2
         assert (out_dir / "FAILED").exists()
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "levi"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, scenario="ball", seed=-1)
+        out_dir = tmp_path / "out"
+        assert cli.main(["--out", str(out_dir), "--quiet", command, cfg]) == 2
+        assert "'seed' must be non-negative, got -1" in capsys.readouterr().err
+        assert (out_dir / "FAILED").read_text().startswith("ConfigError: ")
 
     def test_bad_resolution_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -263,6 +286,9 @@ class TestMain:
             t = rows[rows[:, 0] == k, 1]
             assert len(t) == 257
             assert t[0] == pytest.approx(0.02) and t[-1] == pytest.approx(0.98)
+        report = json.loads((out_dir / "report.json").read_text())
+        # the ball's leaves are meridians: u0 is a fixed point at once
+        assert report["diagnostics"]["leaf_sweeps"] == [1, 1, 1]
 
     def test_leaf_needs_two_complex_points(self, tmp_path):
         cfg = write_config(tmp_path, scenario="model-quadric")

@@ -74,6 +74,32 @@ def svd_field(scenario, z, trim=C.POLE_TRIM):
     return vh[..., -1, :]
 
 
+def leaf_slope(scenario, phi, u):
+    """du/dphi of the leaf graph u(phi), for any broadcast shape."""
+    z = scenario.surface.parametrization(phi, u)
+    n = C.characteristic_field(scenario, z)
+    x, y = z[..., 0], z[..., 1]
+    return -np.sin(phi) * (x * n[..., 1] - y * n[..., 0]) \
+        / ((x ** 2 + y ** 2) * n[..., 2])
+
+
+def rk4_leaf(scenario, u0, steps=1024):
+    """Reference leaves: classical RK4 with `steps` uniform steps over
+    [LEAF_PHI, pi - LEAF_PHI], all angles u0 in one batch; u at the
+    LEAF_STEPS + 1 angles of the tabulated leaf, one column per u0."""
+    phi = np.linspace(C.LEAF_PHI, np.pi - C.LEAF_PHI, steps + 1)
+    h = phi[1] - phi[0]
+    u = np.empty((steps + 1, len(u0)))
+    u[0] = u0
+    for i in range(steps):
+        k1 = leaf_slope(scenario, phi[i], u[i])
+        k2 = leaf_slope(scenario, phi[i] + 0.5 * h, u[i] + 0.5 * h * k1)
+        k3 = leaf_slope(scenario, phi[i] + 0.5 * h, u[i] + 0.5 * h * k2)
+        k4 = leaf_slope(scenario, phi[i + 1], u[i] + h * k3)
+        u[i + 1] = u[i] + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return u[::steps // C.LEAF_STEPS]
+
+
 def sample_points(sc):
     """Surface points and points off the surface (y2 != 0, |z| != 1), all
     away from the poles."""
@@ -165,17 +191,60 @@ class TestLeaves:
             assert np.max(np.sqrt(1.0 - np.minimum(cos ** 2, 1.0))) < 1e-4
 
     def test_leaf_step_converged(self, monkeypatch):
+        # doubling the Chebyshev degree moves the tabulated leaf by < 1e-11
         sc = make_scenario("perturbed-ball", eps=0.05)
         coarse = C.reference_leaves(sc)
-        monkeypatch.setattr(C, "LEAF_STEPS", 2 * C.LEAF_STEPS)
+        monkeypatch.setattr(C, "LEAF_NODES", 2 * C.LEAF_NODES)
         for a, b in zip(coarse, C.reference_leaves(sc)):
-            assert np.max(np.abs(a.u - b.u[::2])) < 1e-11
+            assert len(a.u) == len(b.u) == C.LEAF_STEPS + 1
+            assert np.max(np.abs(a.u - b.u)) < 1e-11
+
+    @pytest.mark.parametrize("name,eps,tol", [
+        ("ball", None, 1e-12), ("weak-m2", None, 1e-12),
+        ("perturbed-ball", 0.01, 1e-11), ("perturbed-ball", 0.05, 1e-11),
+        ("perturbed-ball", 0.1, 1e-11)])
+    def test_leaf_matches_rk4_reference(self, name, eps, tol):
+        sc = make_scenario(name, **({} if eps is None else {"eps": eps}))
+        ref = rk4_leaf(sc, np.array(C.LEAF_ANGLES))
+        for k, leaf in enumerate(C.reference_leaves(sc)):
+            assert np.max(np.abs(leaf.u - ref[:, k])) < tol
 
     def test_latitude_tangent_field_stalls(self, ball, monkeypatch):
         monkeypatch.setattr(C, "characteristic_field",
                             lambda sc, z: np.array([0.0, 1.0, 0.0, 0.0]))
         with pytest.raises(LeafStalled):
             C.integrate_leaf(ball, 0.0)
+
+    def test_one_field_call_per_sweep(self, monkeypatch):
+        # the gain without a clock: one field call per sweep, each on the
+        # whole node batch, never on a single point
+        sc = make_scenario("perturbed-ball", eps=0.05)
+        field_fn, shapes = C.characteristic_field, []
+
+        def spy(scenario, z, *args, **kwargs):
+            shapes.append(np.shape(z))
+            return field_fn(scenario, z, *args, **kwargs)
+
+        monkeypatch.setattr(C, "characteristic_field", spy)
+        leaf = C.integrate_leaf(sc, 2.1)
+        assert 1 < len(shapes) == leaf.sweeps <= C.LEAF_MAX_SWEEPS + 1
+        assert set(shapes) == {(C.LEAF_NODES + 1, 4)}
+
+    def test_sweep_cap_stalls(self, monkeypatch, tmp_path):
+        sc = make_scenario("perturbed-ball", eps=0.05)
+        monkeypatch.setattr(C, "LEAF_MAX_SWEEPS", 2)
+        with pytest.raises(LeafStalled,
+                           match=r"in 2 sweeps \(last correction \d\.\d+e-"):
+            C.integrate_leaf(sc, 2.1)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"scenario": "perturbed-ball"}))
+        out_dir = tmp_path / "out"
+        assert cli.main(["--out", str(out_dir), "--quiet", "leaf",
+                         str(cfg)]) == 2
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["status"] == "FAIL"
+        assert report["error"].startswith("LeafStalled: leaf did not converge")
+        assert (out_dir / "FAILED").read_text().startswith("FAIL: LeafStalled")
 
     def test_leaf_stays_on_surface(self, ball, leaves):
         leaf = leaves[0]
@@ -282,6 +351,7 @@ class TestRejectedSteps:
             "side": "p", "t": 0.05, "dt": 0.025, "error": "NewtonStalled",
             "message": "forced failure"}]
         assert diag["total_newton_iters"] >= diag["max_newton_iters"] > 0
+        assert diag["leaf_sweeps"] == [1, 1, 1]
 
     def test_failed_run_lists_rejections(self, tmp_path, monkeypatch):
         # every step after the first disc fails: 8 halvings reach min_dt
