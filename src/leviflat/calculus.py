@@ -37,6 +37,9 @@ DEFAULT_N_RHO = 32
 
 _MODE_DECAY_TOL = 1e-6
 
+# read-only Cauchy-Green (mode matrices, mode shift), one per grid shape
+_CG_OPERATORS = {}
+
 
 def _barycentric_weights(nodes):
     n = len(nodes)
@@ -105,14 +108,19 @@ class DiscGrid:
         self.d_rho = _diff_matrix(self.rho)
         self._center_row = _eval_row(self.rho, 0.0)
 
-        self._cg_matrices = None      # built lazily
-        self._cg_shift = None
-
     @property
     def n_radial(self):
         return self.n_rho + 1
 
     # -- Cauchy-Green mode matrices -------------------------------------------
+
+    def cg_operators(self):
+        """The Cauchy-Green (mode matrices, mode shift) of this grid shape,
+        built on first use and shared read-only by every grid of the shape."""
+        key = (self.n_theta, self.n_rho)
+        if key not in _CG_OPERATORS:
+            _CG_OPERATORS[key] = self._build_cg()
+        return _CG_OPERATORS[key]
 
     def _build_cg(self):
         from scipy.special import eval_jacobi
@@ -160,22 +168,22 @@ class DiscGrid:
                 for k in ks:
                     Y[:, k] = 2.0 * s ** (a + 1) * (wsig * eval_jacobi(k, 0, a, arg)).sum(axis=1)
             mats[j] = Y @ A
-        self._cg_matrices = mats
-        self._cg_shift = shift
+        mats.setflags(write=False)
+        shift.setflags(write=False)
+        return mats, shift
 
     def cg_apply(self, values):
         """Cauchy-Green transform on sampled values, shape (..., R, n_theta)."""
-        if self._cg_matrices is None:
-            self._build_cg()
+        mats, shift = self.cg_operators()
         F = np.fft.fft(values, axis=-1) / self.n_theta
         # stacked per-mode matmul: (m, R, R) @ (m, R, batch) -> (m, R, batch)
         Fl = F.reshape((-1,) + F.shape[-2:])                    # (b, R, m)
         Fm = np.ascontiguousarray(Fl.transpose(2, 1, 0))        # (m, R, b)
-        Om = self._cg_matrices @ Fm                             # (m, R, b)
+        Om = mats @ Fm                                          # (m, R, b)
         out_modes = Om.transpose(2, 1, 0).reshape(F.shape)      # (..., R, m)
         G = np.zeros_like(F)
-        keep = self._cg_shift >= 0
-        G[..., :, self._cg_shift[keep]] = out_modes[..., :, keep]
+        keep = shift >= 0
+        G[..., :, shift[keep]] = out_modes[..., :, keep]
         return np.fft.ifft(G * self.n_theta, axis=-1)
 
     # -- spectral derivatives --------------------------------------------------

@@ -382,14 +382,16 @@ def _run_levi(config: RunConfig, report: RunReport, quiet) -> int:
     rng = np.random.default_rng(config.seed)
     t0 = time.time()
     # Levi form of r at interior samples, random complex-tangent-free dirs
-    vals = []
-    while len(vals) < 24:
+    P, T = [], []
+    while len(P) < 24:
         p = rng.uniform(-0.9, 0.9, 4)
         if chart.defining_r(p) >= -0.05:
             continue
         t = rng.standard_normal(4)
-        t /= np.linalg.norm(t)
-        vals.append(geometry.levi_form(chart, chart.defining_r, p, t))
+        P.append(p)
+        T.append(t / np.linalg.norm(t))
+    vals = geometry.levi_form(chart, chart.defining_r, np.array(P),
+                              np.array(T))
     report.diagnostics["levi_r_min"] = float(np.min(vals))
     report.diagnostics["levi_r_max"] = float(np.max(vals))
     report.stage("levi_samples", "PASS", time.time() - t0)

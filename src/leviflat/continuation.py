@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bishop import BishopDisc, DEFAULT_N_TAYLOR, PinSet, bishop_solve
 from .calculus import DiscGrid
@@ -376,7 +375,7 @@ def _sample_rings(disc: BishopDisc):
 def disc_hausdorff(d1: BishopDisc, d2: BishopDisc) -> float:
     """Symmetric Hausdorff distance between sample rings of two discs."""
     a, b = _sample_rings(d1), _sample_rings(d2)
-    D = cdist(a, b)
+    D = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
 

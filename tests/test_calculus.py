@@ -128,6 +128,15 @@ class TestCauchyGreen:
         for k in range(3):
             assert np.max(np.abs(stacked[k] - grid.cg_apply(batch[k]))) < 1e-13
 
+    def test_operators_shared_per_shape(self):
+        mats, shift = DiscGrid(32, 16).cg_operators()
+        again = DiscGrid(32, 16).cg_operators()
+        assert again[0] is mats and again[1] is shift
+        with pytest.raises(ValueError):
+            mats[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            shift[0] = 0
+
     def test_output_vanishes_nowhere_constraint(self, grid):
         # T maps into functions with no purely-holomorphic growth: dbar T f = f
         # and T f(0) has no zeta^0 holomorphic ambiguity for f = zbar^2

@@ -9,7 +9,9 @@ from leviflat.calculus import DiscField, DiscGrid
 from leviflat.errors import (
     FieldDomainError,
     SingularMatrix,
+    StepTooLarge,
 )
+from leviflat.scenarios import make_scenario
 
 
 def standard_chart():
@@ -117,6 +119,45 @@ class TestLeviForm:
         v1 = G.levi_form(chart, rho, p, t)
         v2 = G.levi_form_via_disc(chart, rho, p, t)
         assert abs(v1 - v2) < 1e-6
+
+    def test_batched_equals_per_sample(self):
+        # per-sample rows are (1, 4): a lone (4,) point would send the
+        # scenario's complex z2 ** 2 through numpy's scalar arithmetic,
+        # which rounds differently from its array loops
+        sc = make_scenario("perturbed-ball", eps=0.1)
+        rho = sc.chart.defining_r
+        rng = np.random.default_rng(11)
+        P = rng.uniform(-0.6, 0.6, (32, 4))
+        T = rng.standard_normal((32, 4))
+        vals = G.levi_form(sc.chart, rho, P, T)
+        assert vals.shape == (32,)
+        rows = [G.levi_form(sc.chart, rho, P[i:i + 1], T[i:i + 1])
+                for i in range(32)]
+        assert np.array_equal(vals, np.concatenate(rows))
+
+    @pytest.mark.parametrize("name", ["ball", "weak-m2"])
+    def test_closed_forms_standard_structure(self, name):
+        """4|t|^2 on the ball, 4(|t1|^2 + 4|z2|^2 |t2|^2) on weak-m2."""
+        sc = make_scenario(name)
+        rng = np.random.default_rng(12)
+        P = rng.uniform(-0.8, 0.8, (200, 4))
+        T = rng.standard_normal((200, 4))
+        T /= np.linalg.norm(T, axis=1)[:, None]
+        z, t = G.to_complex(P), G.to_complex(T)
+        weight = 1.0 if name == "ball" else 4.0 * np.abs(z[:, 1]) ** 2
+        exact = 4.0 * (np.abs(t[:, 0]) ** 2 + weight * np.abs(t[:, 1]) ** 2)
+        vals = G.levi_form(sc.chart, sc.chart.defining_r, P, T)
+        assert np.max(np.abs(vals - exact)) < 1e-7
+
+    def test_one_kinked_sample_fails_the_batch(self):
+        chart = standard_chart()
+        rho = lambda z: np.abs(z[..., 0]) + np.sum(z ** 2, axis=-1)
+        P = np.array([[0.3, 0.1, 0.0, 0.2], [-0.4, 0.0, 0.1, 0.0],
+                      [0.0, 0.2, 0.1, 0.0]])
+        T = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        assert np.allclose(G.levi_form(chart, rho, P[:2], T[:2]), 4.0)
+        with pytest.raises(StepTooLarge):
+            G.levi_form(chart, rho, P, T)
 
 
 class TestPshAndExhaustion:

@@ -3,11 +3,14 @@ module-level function and class is reached from the package, a demo or an
 acceptance criterion, every class field is read somewhere, no module of
 the package or the tests imports a name it does not use, no function
 assigns a name it never reads, and every function the benchmark traces
-still exists."""
+still exists.  Importing the package loads no scipy subpackage but
+scipy.special."""
 
 import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 import warnings
 
@@ -144,3 +147,19 @@ def test_trace_targets_resolve(monkeypatch):
             if not callable(getattr(t.owner, t.attr, None))]
     assert dead == []
     assert set(run.PROBES) <= {t.name for t in targets}
+
+
+def test_scipy_footprint():
+    """Each scipy subpackage costs resident memory and import time in every
+    process; the package needs scipy.special alone."""
+    code = ("import pkgutil, sys, scipy, leviflat.cli\n"
+            "subpackages = {m.name for m in pkgutil.iter_modules(scipy.__path__)"
+            " if m.ispkg and not m.name.startswith('_')}\n"
+            "print(' '.join(sorted(subpackages & {m.split('.')[1]"
+            " for m in sys.modules if m.startswith('scipy.')})))")
+    path = os.pathsep.join([str(PACKAGE.parent)]
+                           + os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["special"]
