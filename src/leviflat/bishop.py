@@ -10,8 +10,10 @@ a contraction for small deformation tensors; the Bishop solver runs
 Gauss-Newton on the Taylor coefficients of the holomorphic unknown h with a
 three-point boundary gauge.
 Its residual goes through Psi^{-1}; its Jacobian is that of the standard
-structure (Psi^{-1} left out), exact where A = 0 and an O(|A|) approximation
-otherwise.
+structure (Psi^{-1} left out), by the chain rule through the linear map from
+coefficients to boundary values, exact where A = 0 and an O(|A|)
+approximation otherwise.  Each Psi^{-1} fixed point starts from the
+correction h - f of the solve before it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ from .geometry import (AmbientChart, deformation_tensor_values, to_complex,
 
 DEFAULT_N_TAYLOR = 24
 MAX_ELLIPSE_N = 2 ** 18     # most boundary samples ellipse_map takes
+PIN_THETA = np.array([2 * np.pi / 3, -2 * np.pi / 3])   # member2, member3 pins
+MEMBER_STEP = 1e-7          # central-difference step of a leaf membership
+UNDERRESOLVED_FACTOR = 10.0  # a stall this close to newton_tol ...
+NO_DECREASE = 1e-2           # ... with |J dx + r| >= (1 - this) |r| is a floor
 
 
 # --- surface patches and complex-point models ---------------------------------
@@ -269,17 +275,21 @@ def _psi_rhs(chart: AmbientChart, grid: DiscGrid, vals):
     return 0.0 if q is None else grid.cg_apply(q)
 
 
-def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals):
-    """Fixed point f = h - T(A(f) dbar(conj f)), batched over leading axes."""
-    f = hvals      # never written; each pass makes a new f
+def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals, start=None):
+    """Fixed point f = h - T(A(f) dbar(conj f)), batched over leading axes,
+    iterated from f = start (default h) until a sweep moves f by at most
+    1e-12.  Returns f and the number of sweeps run (none where A vanishes)."""
+    f = hvals if start is None else start      # never written
     prev = np.inf
-    growth = 0
+    growth = sweeps = 0
     for _ in range(100):
-        f_new = hvals - _psi_rhs(chart, grid, f)
+        rhs = _psi_rhs(chart, grid, f)
+        sweeps += np.ndim(rhs) > 0
+        f_new = hvals - rhs
         change = float(np.max(np.abs(f_new - f)))
         f = f_new
         if change <= 1e-12:
-            return f
+            return f, sweeps
         growth = growth + 1 if change > prev else 0
         if growth >= 5:
             raise NoContraction(
@@ -334,17 +344,20 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2):
         A_fn=lambda zl: deformation_tensor_values(J_loc(zl)))
     zpow = np.stack([np.ones_like(grid.zeta), grid.zeta])   # (2, R, T)
 
-    def solve(params):
-        # params (..., 8): complex (c0, c1, d0, d1) packed as real pairs
+    def solve(params, q=None):
+        # params (..., 8): complex (c0, c1, d0, d1) packed as real pairs;
+        # the fixed point starts from h - q, q the base point's correction
         params = np.asarray(params)
         cc = params[..., 0::2] + 1j * params[..., 1::2]      # (..., 4)
         h = np.empty(params.shape[:-1] + (2,) + grid.zeta.shape, dtype=complex)
         h[..., 0, :, :] = np.einsum("...n,nrt->...rt", cc[..., 0:2], zpow)
         h[..., 1, :, :] = np.einsum("...n,nrt->...rt", cc[..., 2:4], zpow)
         try:
-            return psi_inverse_values(loc_chart, grid, h)
+            f, _ = psi_inverse_values(loc_chart, grid, h,
+                                      start=None if q is None else h - q)
         except NoContraction as exc:
             raise DiscSolveFailed(str(exc)) from exc
+        return f, h - f
 
     def center_residual(f):
         # center value and holomorphic derivative of both components
@@ -355,18 +368,19 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2):
                          (d[..., 0]).imag, d[..., 1].real, d[..., 1].imag], -1)
 
     x = np.array([0, 0, 0, 0, 1, 0, 0, 0], dtype=float)  # h = (zeta, 0)
+    q = None
     for _ in range(8):
-        f = solve(x)
+        f, q = solve(x, q)
         r = center_residual(f)
         if np.max(np.abs(r)) <= 1e-12:
             break
         h_fd = 1e-7
         batch = x[None, :] + h_fd * np.eye(8)
-        rb = center_residual(solve(batch))
+        rb = center_residual(solve(batch, q)[0])
         Jac = (rb - r[None, :]).T / h_fd
         x = x - np.linalg.solve(Jac, r)
     else:
-        f = solve(x)
+        f, _ = solve(x, q)
         if np.max(np.abs(center_residual(f))) > 1e-9:
             raise DiscSolveFailed("probe disc center correction stalled")
 
@@ -408,13 +422,18 @@ def _unpack(x, n):
     return flat.reshape(x.shape[:-1] + (2, n))
 
 
-def check_taylor_order(n_taylor: int, n_theta: int, n_rho: int):
-    """Reject Taylor orders that the grid aliases or truncates.
+def taylor_limit(n_theta: int, n_rho: int) -> int:
+    """The largest Taylor order an n_theta x n_rho grid holds.
 
     Mode zeta^k aliases onto k - n_theta unless k < n_theta/2, and the
     Cauchy-Green matrices drop angular modes above n_rho.
     """
-    limit = min((n_theta - 1) // 2, n_rho)
+    return min((n_theta - 1) // 2, n_rho)
+
+
+def check_taylor_order(n_taylor: int, n_theta: int, n_rho: int):
+    """Reject Taylor orders that the grid aliases or truncates."""
+    limit = taylor_limit(n_theta, n_rho)
     if n_taylor > limit:
         raise ConfigError(
             f"n_taylor = {n_taylor} exceeds {limit}, the largest order a "
@@ -427,8 +446,7 @@ def _residual_rows(surface: SurfacePatch, pins: PinSet, grid: DiscGrid, bdry):
     boundary sample, then the 4 pin rows of `pins`."""
     pts = to_real(np.moveaxis(bdry, -2, -1))   # (..., T, 4)
     rho = surface.rho_pair(pts)                # (..., T, 2)
-    theta_pins = np.array([2 * np.pi / 3, -2 * np.pi / 3])
-    pin_phase = np.exp(1j * np.outer(theta_pins, grid.modes)) / grid.n_theta
+    pin_phase = np.exp(1j * np.outer(PIN_THETA, grid.modes)) / grid.n_theta
     F = np.fft.fft(bdry, axis=-1)
     at_pins = np.einsum("pm,...cm->...pc", pin_phase, F)  # (..., 2 pins, 2)
     p_pts = to_real(at_pins)                   # (..., 2, 4)
@@ -441,6 +459,45 @@ def _residual_rows(surface: SurfacePatch, pins: PinSet, grid: DiscGrid, bdry):
     return np.concatenate(parts, axis=-1)
 
 
+def _boundary_basis(grid: DiscGrid, n: int):
+    """The linear map from packed coefficients x (4n,) to the real points of
+    h at the boundary nodes and then at the two pins, shape (T + 2, 4, 4n)."""
+    theta = np.concatenate([grid.theta, PIN_THETA])
+    wave = np.exp(1j * np.outer(np.arange(n), theta))     # (n, T + 2)
+    unit = _unpack(np.eye(4 * n), n)                      # (4n, 2, n)
+    pts = to_real(np.einsum("xcn,np->xpc", unit, wave))   # (4n, T + 2, 4)
+    return np.moveaxis(pts, 0, -1)
+
+
+def _jacobian(surface: SurfacePatch, pins: PinSet, basis, x):
+    """Jacobian of _residual_rows at the boundary of h (the standard-structure
+    map), by the chain rule through the linear map `basis` of
+    _boundary_basis: rho_grad for the defining rows, the tangent basis for the
+    two gauge rows, and a central difference of each leaf membership."""
+    pts = basis @ x                            # (T + 2, 4)
+    T = len(pts) - 2
+    rho_rows = (surface.rho_grad(pts[:T]) @ basis[:T]).reshape(2 * T, -1)
+    gauge_rows = pins.tangent_basis.T @ basis[0]   # theta = 0 is a grid node
+    step = MEMBER_STEP * np.concatenate([np.eye(4), -np.eye(4)])
+    pin_rows = []
+    for member, p, dp in zip((pins.member2, pins.member3), pts[T:], basis[T:]):
+        m = member(p + step)
+        pin_rows.append((m[:4] - m[4:]) / (2 * MEMBER_STEP) @ dp)
+    return np.concatenate([rho_rows, gauge_rows, np.stack(pin_rows)])
+
+
+def _gauss_newton_step(J, r):
+    """Least-squares step dx minimizing |J dx + r| by a QR factorization;
+    NewtonStalled when J is rank deficient."""
+    Q, R = np.linalg.qr(J)
+    diag = np.abs(np.diag(R))
+    ratio = diag.min() / diag.max()
+    if ratio <= 1e-12:
+        raise NewtonStalled(
+            f"rank-deficient Jacobian (min/max |diag R| = {ratio:.3e})")
+    return np.linalg.solve(R, -(Q.T @ r))
+
+
 def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
                  pins: PinSet, n_taylor: int = DEFAULT_N_TAYLOR,
                  newton_tol: float = 1e-10) -> BishopDisc:
@@ -449,33 +506,39 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
     Gauss-Newton on the truncated Taylor coefficients of the holomorphic
     unknown h; residual = the two defining functions at the boundary samples
     of f = Psi^{-1}(h), stacked with the pin rows of `pins`, with damped
-    (backtracking) steps, at most 25.  The Jacobian is that of the standard structure:
-    forward differences of the rows at the boundary values of h itself,
-    with Psi^{-1} left out.  It is exact where A = 0 and off by O(|A|)
-    otherwise, so Newton then converges linearly at that rate; the residual
-    the steps minimize stays exact, and so does the converged disc, whose
-    winding mu must be 0.
+    (backtracking) steps, at most 25.  The Jacobian is that of the standard
+    structure, the rows at the boundary values of h itself with Psi^{-1}
+    left out.  As h is linear in its coefficients, it is exact by the chain
+    rule (see _jacobian), and each step is a QR least-squares solve.  It is
+    exact where A = 0 and off by O(|A|) otherwise, so Newton then converges
+    linearly at that rate; the residual the steps minimize stays exact, and
+    so does the converged disc, whose winding mu must be 0.
+
+    Each Psi^{-1} solve starts from h - q, q = h - f the correction of the
+    last solve; the first q is that of the seed `init` (its h values minus
+    its f).  A line search that stalls within UNDERRESOLVED_FACTOR of
+    newton_tol, where the step predicts no decrease of |r|, has reached the
+    truncation floor of the Taylor ansatz: Underresolved.
     """
     chart = scenario.chart
     grid = init.grid
     check_taylor_order(n_taylor, grid.n_theta, grid.n_rho)
     n = n_taylor + 1
     zpow = np.stack([grid.zeta ** k for k in range(n)])
-    zpow_bdry = zpow[:, -1:, :]                    # boundary ring only
+    basis = _boundary_basis(grid, n)
 
     coeffs = np.zeros((2, n), dtype=complex)
     for c, init_c in zip(coeffs, init.h_coeffs):
         c[:min(n, len(init_c))] = init_c[:n]
     x = _pack(coeffs)
-
-    def h_rows(xb):
-        """Rows at the boundary of h itself (the standard-structure map)."""
-        h_bdry = _coeffs_to_vals(_unpack(xb, n), zpow_bdry)[..., -1, :]
-        return _residual_rows(surface, pins, grid, h_bdry)
+    q = _coeffs_to_vals(coeffs, zpow) - init.values()
+    sweeps = 0
 
     def residual(xb):
+        nonlocal q, sweeps
         vals = _coeffs_to_vals(_unpack(xb, n), zpow)
-        f = psi_inverse_values(chart, grid, vals)
+        f, s = psi_inverse_values(chart, grid, vals, start=vals - q)
+        q, sweeps = vals - f, sweeps + s
         return _residual_rows(surface, pins, grid, f[..., -1, :]), f
 
     r0, f0 = residual(x)
@@ -487,10 +550,8 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
                 "no convergence in 25 Gauss-Newton iterations "
                 f"(residual {best:.3e})")
         iters += 1
-        steps = 1e-6 * np.maximum(1.0, np.abs(x))
-        batch = x[None, :] + np.diag(steps)
-        J = (h_rows(batch) - h_rows(x)[None, :]).T / steps[None, :]
-        dx = np.linalg.lstsq(J, -r0, rcond=None)[0]
+        J = _jacobian(surface, pins, basis, x)
+        dx = _gauss_newton_step(J, r0)
         for k in range(9):
             xt = x + dx * 0.5 ** k
             rt, ft = residual(xt)
@@ -499,6 +560,17 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
                 best = float(np.max(np.abs(r0)))
                 break
         else:
+            predicted = np.linalg.norm(J @ dx + r0) / np.linalg.norm(r0)
+            if (best <= UNDERRESOLVED_FACTOR * newton_tol
+                    and predicted >= 1.0 - NO_DECREASE):
+                raise Underresolved(
+                    f"t = {init.t:g}: residual floor {best:.3e} of the "
+                    f"{n_taylor}-term Taylor ansatz is above newton_tol "
+                    f"{newton_tol:g}, and the "
+                    f"Gauss-Newton step predicts no decrease (|J dx + r| / |r| "
+                    f"= {predicted:.6f}); the {grid.n_theta}x{grid.n_rho} grid "
+                    f"holds up to {taylor_limit(grid.n_theta, grid.n_rho)} "
+                    f"terms (check_taylor_order)")
             raise NewtonStalled(
                 f"no residual decrease after 8 halvings (residual {best:.3e})")
 
@@ -511,8 +583,8 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
         f=(DiscField(grid, f0[0]), DiscField(grid, f0[1])),
         h_coeffs=tuple(_unpack(x, n)),
         t=init.t,
-        diagnostics={"newton_iters": iters, "boundary_residual": bres,
-                     "cr_residual": cr})
+        diagnostics={"newton_iters": iters, "psi_sweeps": sweeps,
+                     "boundary_residual": bres, "cr_residual": cr})
     from .continuation import maslov_index
     mu = disc.diagnostics["mu"] = maslov_index(disc, surface)
     if mu != 0:

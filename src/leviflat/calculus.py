@@ -176,10 +176,11 @@ class DiscGrid:
         """Cauchy-Green transform on sampled values, shape (..., R, n_theta)."""
         mats, shift = self.cg_operators()
         F = np.fft.fft(values, axis=-1) / self.n_theta
-        # stacked per-mode matmul: (m, R, R) @ (m, R, batch) -> (m, R, batch)
+        # stacked per-mode matmul: (m, R, R) @ (m, R, batch) -> (m, R, batch);
+        # the matrices are real, so they act on the (re, im) pairs of a view
         Fl = F.reshape((-1,) + F.shape[-2:])                    # (b, R, m)
         Fm = np.ascontiguousarray(Fl.transpose(2, 1, 0))        # (m, R, b)
-        Om = mats @ Fm                                          # (m, R, b)
+        Om = (mats @ Fm.view(float)).view(complex)              # (m, R, b)
         out_modes = Om.transpose(2, 1, 0).reshape(F.shape)      # (..., R, m)
         G = np.zeros_like(F)
         keep = shift >= 0
@@ -191,7 +192,7 @@ class DiscGrid:
     def _dtheta_drho(self, values):
         F = np.fft.fft(values, axis=-1)
         dth = np.fft.ifft(1j * self.modes * F, axis=-1)
-        drh = np.einsum("ij,...jm->...im", self.d_rho, values)
+        drh = self.d_rho @ values
         return dth, drh
 
     def dbar_apply(self, values):

@@ -294,8 +294,9 @@ def _run_scenario(config: RunConfig, report: RunReport, quiet) -> int:
     report.diagnostics["max_newton_iters"] = int(
         max(d.diagnostics["newton_iters"] for d in result.discs))
     report.diagnostics["n_discs"] = len(result.discs)
-    report.diagnostics["total_newton_iters"] = int(sum(
-        d.diagnostics["newton_iters"] for fam in fams for d in fam.discs))
+    for key in ("newton_iters", "psi_sweeps"):
+        report.diagnostics[f"total_{key}"] = int(sum(
+            d.diagnostics[key] for fam in fams for d in fam.discs))
 
     _write_family_files(result, scenario, config, report, out_dir)
 

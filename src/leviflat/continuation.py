@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bishop import BishopDisc, DEFAULT_N_TAYLOR, PinSet, bishop_solve
-from .calculus import DiscGrid
+from .calculus import DiscField, DiscGrid
 from .errors import (
     BlowUp,
     ComplexPointProximity,
@@ -282,8 +282,6 @@ class DiscFamily:
 
 def _initial_guess(scenario, leaves, t, grid, n_taylor) -> BishopDisc:
     """Flat-circle seed through the leaf-1 pin at parameter t."""
-    from .calculus import DiscField
-
     pin = leaves[0].point_at(t, scenario.surface)
     z1 = pin[0] + 1j * pin[1]
     c1 = np.zeros(n_taylor + 1, dtype=complex)
@@ -294,14 +292,31 @@ def _initial_guess(scenario, leaves, t, grid, n_taylor) -> BishopDisc:
         h_coeffs=(c1, c2), t=float(t))
 
 
+def _secant_seed(d0: BishopDisc, d1: BishopDisc, t) -> BishopDisc:
+    """Taylor coefficients extrapolated linearly in t through d0 and d1 to t.
+    The seed's f is d1's f moved by the same holomorphic increment, so that
+    it carries d1's Psi correction h - f, from which bishop_solve starts
+    Psi^{-1}."""
+    s = (t - d1.t) / (d1.t - d0.t)
+    step = [s * (c1 - c0) for c0, c1 in zip(d0.h_coeffs, d1.h_coeffs)]
+    return BishopDisc(
+        f=tuple(f + DiscField.from_taylor(d1.grid, dc)
+                for f, dc in zip(d1.f, step)),
+        h_coeffs=tuple(c1 + dc for c1, dc in zip(d1.h_coeffs, step)), t=t)
+
+
 def continue_family(scenario, leaves, t_start, t_stop, grid=None,
                     n_taylor=DEFAULT_N_TAYLOR, newton_tol=1e-10,
                     grad_cap=None, side="p") -> DiscFamily:
     """March the pinned Bishop family from t_start to t_stop (snapped exactly).
 
-    Predictor: previous disc's Taylor coefficients.  Step control: halve on
-    solver failure (StepUnderflow below MIN_DT), grow gently on easy solves;
-    each failed step is recorded in DiscFamily.rejected.
+    Predictor: the first two solves of a branch start from the previous
+    disc (the flat-circle seed for the first), later ones from the secant
+    through the last two accepted discs (_secant_seed).  Step control: halve
+    on solver failure (StepUnderflow below MIN_DT), grow gently on easy
+    solves; each failed step is recorded in DiscFamily.rejected.
+    Underresolved (the Taylor ansatz floor) is not a failure that a smaller
+    step mends and ends the branch.
     BlowUp is raised when the disc gradient exceeds grad_cap, or by default
     1000 times its initial value.
     """
@@ -338,8 +353,10 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
             t_next = disc.t + direction * dt
             if direction * (t_next - t_stop) >= 0:
                 t_next = float(t_stop)      # snap the junction exactly
+            seed = disc if len(discs) < 2 else \
+                _secant_seed(discs[-2], disc, t_next)
             try:
-                nxt = solve_at(t_next, disc)
+                nxt = solve_at(t_next, seed)
                 break
             except (NewtonStalled, MaxIterations, NoContraction,
                     ResidualTooLarge, DiscSolveFailed) as exc:

@@ -11,6 +11,7 @@ from leviflat.errors import (
     AdaptationFailure,
     ConfigError,
     NegativeGamma,
+    NewtonStalled,
     NoContraction,
     Underresolved,
 )
@@ -164,7 +165,8 @@ class TestPsiOperator:
         f = np.stack([
             DiscField.from_function(grid, lambda z: 0.3 * z + 0.1 * z ** 2).values,
             DiscField.from_function(grid, lambda z: 0.2 + 0.05 * z).values])
-        back = B.psi_inverse_values(chart, grid, psi_apply_values(chart, grid, f))
+        back, _ = B.psi_inverse_values(chart, grid,
+                                       psi_apply_values(chart, grid, f))
         assert np.max(np.abs(back[0] - f[0])) < 1e-11
         assert np.max(np.abs(back[1] - f[1])) < 1e-11
 
@@ -172,14 +174,15 @@ class TestPsiOperator:
         chart = self.chart()
         h = np.stack([DiscField.from_taylor(grid, [0.1, 0.3, 0.05]).values,
                       DiscField.from_taylor(grid, [0.2, 0.05]).values])
-        f = B.psi_inverse_values(chart, grid, h)
+        f, _ = B.psi_inverse_values(chart, grid, h)
         assert B.cr_residual_values(chart, grid, f) < 1e-8
 
     def test_identity_for_standard_structure(self, grid):
         sc = make_scenario("ball")
         h = np.stack([DiscField.from_taylor(grid, [0.0, 0.5]).values,
                       DiscField.from_taylor(grid, [0.3]).values])
-        f = B.psi_inverse_values(sc.chart, grid, h)
+        f, sweeps = B.psi_inverse_values(sc.chart, grid, h)
+        assert sweeps == 0
         assert np.max(np.abs(f[0] - h[0])) < 1e-14
         assert np.max(np.abs(f[1] - h[1])) < 1e-14
 
@@ -198,10 +201,26 @@ class TestPsiOperator:
             np.stack([DiscField.from_taylor(grid, [0.1 * k, 0.3]).values,
                       DiscField.from_taylor(grid, [0.2]).values])
             for k in range(3)])
-        batch = B.psi_inverse_values(chart, grid, h)
+        batch, _ = B.psi_inverse_values(chart, grid, h)
         for k in range(3):
-            single = B.psi_inverse_values(chart, grid, h[k])
+            single, _ = B.psi_inverse_values(chart, grid, h[k])
             assert np.max(np.abs(batch[k] - single)) < 1e-12
+
+    def test_warm_start_matches_cold(self, grid):
+        # start from the correction h - f of a nearby solve
+        chart = self.chart()
+
+        def h_vals(c):
+            return np.stack([DiscField.from_taylor(grid, [0.1, c, 0.05]).values,
+                             DiscField.from_taylor(grid, [0.2, 0.05]).values])
+
+        near, h = h_vals(0.3), h_vals(0.31)
+        f_near, _ = B.psi_inverse_values(chart, grid, near)
+        cold, cold_sweeps = B.psi_inverse_values(chart, grid, h)
+        warm, warm_sweeps = B.psi_inverse_values(chart, grid, h,
+                                                 start=h - (near - f_near))
+        assert np.max(np.abs(warm - cold)) <= 1e-12
+        assert 0 < warm_sweeps < cold_sweeps
 
 
 def psi_apply_values(chart, grid, vals):
@@ -241,8 +260,8 @@ class TestZeroDeformationFastPath:
 
         monkeypatch.setattr(DiscGrid, "dz_apply", forbidden)
         monkeypatch.setattr(DiscGrid, "cg_apply", forbidden)
-        f = B.psi_inverse_values(chart, grid, h)
-        assert f is not h and np.array_equal(f, h)
+        f, sweeps = B.psi_inverse_values(chart, grid, h)
+        assert f is not h and np.array_equal(f, h) and sweeps == 0
         g = psi_apply_values(chart, grid, h)
         assert g is not h and np.array_equal(g, h)
         f = np.stack([np.conj(grid.zeta), h[1]])
@@ -255,7 +274,7 @@ class TestZeroDeformationFastPath:
         h = self.h_vals(grid)
         assert np.array_equal(psi_apply_values(chart, grid, h),
                               h + full_psi_rhs(chart, grid, h))
-        assert np.array_equal(B.psi_inverse_values(chart, grid, h),
+        assert np.array_equal(B.psi_inverse_values(chart, grid, h)[0],
                               h - full_psi_rhs(chart, grid, h))
         # cr_residual keeps measuring sup |dbar f|: nonzero for f = conj zeta
         f = np.stack([np.conj(grid.zeta), h[1]])
@@ -287,6 +306,9 @@ class TestZeroDeformationFastPath:
         slow = family()
         assert np.array_equal(fast.t_values, slow.t_values)
         for a, b in zip(fast.discs, slow.discs):
+            # the one difference: the fast path runs no sweep
+            assert a.diagnostics.pop("psi_sweeps") == 0
+            assert b.diagnostics.pop("psi_sweeps") > 0
             assert a.diagnostics == b.diagnostics
             for ca, cb in zip(a.h_coeffs, b.h_coeffs):
                 assert np.array_equal(ca, cb)
@@ -306,7 +328,7 @@ def full_jacobian_solve(sc, init, pins, n_taylor, newton_tol=1e-10,
 
     def residual(xb):
         vals = B._coeffs_to_vals(B._unpack(xb, n), zpow)
-        f = B.psi_inverse_values(chart, grid, vals)
+        f, _ = B.psi_inverse_values(chart, grid, vals)
         return B._residual_rows(sc.surface, pins, grid, f[..., -1, :])
 
     r0 = residual(x)
@@ -376,6 +398,69 @@ class TestStandardStructureJacobian:
         ref = full_jacobian_solve(sc, init, pins, 12)
         for a, b in zip(disc.h_coeffs, ref):
             assert np.array_equal(a, b)
+
+
+def fd_jacobian(sc, pins, grid, n, x, step=1e-6):
+    """Forward difference of _residual_rows at the boundary of h."""
+    zpow = np.stack([grid.zeta[-1] ** k for k in range(n)])[:, None, :]
+
+    def rows(xb):
+        bdry = B._coeffs_to_vals(B._unpack(xb, n), zpow)[..., -1, :]
+        return B._residual_rows(sc.surface, pins, grid, bdry)
+
+    steps = step * np.maximum(1.0, np.abs(x))
+    cols = [(rows(x + e) - rows(x)) / h for e, h in zip(np.diag(steps), steps)]
+    return np.stack(cols, axis=-1)
+
+
+class TestExactJacobian:
+    """The chain-rule Jacobian of the standard-structure rows."""
+
+    CASES = {"ball": ("ball", 12, {}),
+             "perturbed": ("perturbed-ball", 15, {"eps": 0.05})}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_forward_difference(self, case):
+        name, n_taylor, params = self.CASES[case]
+        sc = make_scenario(name, **params)
+        leaves = C.reference_leaves(sc)
+        grid = DiscGrid(32, 16)
+        pins = C.make_pinset(sc, leaves, 0.3)
+        init = C._initial_guess(sc, leaves, 0.3, grid, n_taylor)
+        n = n_taylor + 1
+        coeffs = np.zeros((2, n), dtype=complex)
+        for c, init_c in zip(coeffs, init.h_coeffs):
+            c[:len(init_c)] = init_c
+        # off the solution, with every coefficient in play
+        rng = np.random.default_rng(0)
+        x = B._pack(coeffs) + 0.01 * rng.standard_normal(4 * n)
+        exact = B._jacobian(sc.surface, pins, B._boundary_basis(grid, n), x)
+        fd = fd_jacobian(sc, pins, grid, n, x)
+        assert exact.shape == fd.shape == (2 * grid.n_theta + 4, 4 * n)
+        assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_rows_never_batched(self, monkeypatch):
+        sc = make_scenario("perturbed-ball", eps=0.05)
+        leaves = C.reference_leaves(sc)
+        grid = DiscGrid(32, 16)
+        rows = B._residual_rows
+        shapes = []
+
+        def spy(surface, pins, grid, bdry):
+            shapes.append(bdry.shape)
+            return rows(surface, pins, grid, bdry)
+
+        monkeypatch.setattr(B, "_residual_rows", spy)
+        disc = B.bishop_solve(sc, sc.surface,
+                              C._initial_guess(sc, leaves, 0.3, grid, 15),
+                              C.make_pinset(sc, leaves, 0.3), n_taylor=15)
+        assert disc.diagnostics["newton_iters"] > 0
+        assert set(shapes) == {(2, grid.n_theta)}
+
+    def test_rank_deficient_jacobian_stalls(self):
+        J = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
+        with pytest.raises(NewtonStalled, match="diag R"):
+            B._gauss_newton_step(J, np.ones(3))
 
 
 class TestProbeDisc:

@@ -318,6 +318,40 @@ def failing_stage(*args, **kwargs):
     raise DiscSolveFailed("diagnostic")
 
 
+class TestPerturbedRuns:
+    """Perturbed-ball fillings at 32x16 (the benchmark's resolution)."""
+
+    def run(self, tmp_path, epsilon, n_taylor):
+        cfg = write_config(tmp_path, scenario="perturbed-ball",
+                           epsilon=epsilon, n_theta=32, n_rho=16,
+                           n_taylor=n_taylor)
+        out_dir = tmp_path / "out"
+        code = cli.main(["--out", str(out_dir), "--quiet", "run", cfg])
+        return code, json.loads((out_dir / "report.json").read_text())
+
+    # Newton iterations with the previous disc as the seed of every solve
+    @pytest.mark.parametrize("epsilon,n_taylor,previous_disc_iters",
+                             [(0.01, 12, 186), (0.05, 15, 253)])
+    def test_secant_predictor_keeps_the_discs(self, tmp_path, epsilon,
+                                              n_taylor, previous_disc_iters):
+        code, report = self.run(tmp_path, epsilon, n_taylor)
+        diag = report["diagnostics"]
+        assert code == 0 and report["status"] == "PASS"
+        assert diag["n_discs"] == 37
+        assert diag["rejected_steps"] == []
+        assert diag["total_newton_iters"] < previous_disc_iters
+        assert diag["total_psi_sweeps"] > diag["total_newton_iters"]
+
+    def test_taylor_floor_is_underresolved(self, tmp_path):
+        code, report = self.run(tmp_path, 0.08, 15)
+        assert code == 2 and report["status"] == "FAIL"
+        assert report["error"].startswith("Underresolved: t = 0.225: "
+                                          "residual floor")
+        assert "15-term Taylor ansatz" in report["error"]
+        assert "32x16 grid holds up to 15 terms" in report["error"]
+        assert (tmp_path / "out" / "FAILED").exists()
+
+
 class TestFailureReports:
     """run, leaf and levi share one failure path that keeps the traceback."""
 

@@ -8,13 +8,14 @@ import pytest
 
 from leviflat import cli
 from leviflat import continuation as C
-from leviflat.calculus import DiscGrid
+from leviflat.calculus import DiscField, DiscGrid
 from leviflat.errors import (
     BlowUp,
     ComplexPointProximity,
     LeafStalled,
     NewtonStalled,
     NoMatch,
+    Underresolved,
 )
 from leviflat.scenarios import make_scenario
 
@@ -309,7 +310,7 @@ class TestContinuation:
                               grad_cap=1e-3)
 
 
-def fail_solves(monkeypatch, failing):
+def fail_solves(monkeypatch, failing, error=NewtonStalled):
     """Make the bishop_solve calls numbered in `failing` (from 1) fail."""
     solve = C.bishop_solve
     calls = 0
@@ -318,10 +319,11 @@ def fail_solves(monkeypatch, failing):
         nonlocal calls
         calls += 1
         if calls in failing:
-            raise NewtonStalled("forced failure")
+            raise error("forced failure")
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(C, "bishop_solve", flaky)
+    return lambda: calls
 
 
 def ball_config(tmp_path):
@@ -351,6 +353,7 @@ class TestRejectedSteps:
             "side": "p", "t": 0.05, "dt": 0.025, "error": "NewtonStalled",
             "message": "forced failure"}]
         assert diag["total_newton_iters"] >= diag["max_newton_iters"] > 0
+        assert diag["total_psi_sweeps"] == 0      # A = 0 on the ball
         assert diag["leaf_sweeps"] == [1, 1, 1]
 
     def test_failed_run_lists_rejections(self, tmp_path, monkeypatch):
@@ -361,6 +364,36 @@ class TestRejectedSteps:
         assert [s["dt"] for s in diag["rejected_steps"]] == \
             [0.025 * 0.5 ** k for k in range(8)]
         assert {s["side"] for s in diag["rejected_steps"]} == {"p"}
+
+
+    def test_underresolved_is_not_halved(self, ball, leaves, monkeypatch):
+        calls = fail_solves(monkeypatch, {2}, error=Underresolved)
+        with pytest.raises(Underresolved):
+            C.continue_family(ball, leaves, 0.30, 0.36,
+                              grid=DiscGrid(32, 16), n_taylor=12)
+        assert calls() == 2
+
+
+class TestSecantPredictor:
+    def test_seed_extrapolates_and_keeps_the_correction(self):
+        sc = make_scenario("perturbed-ball", eps=0.05)
+        grid = DiscGrid(32, 16)
+        fam = C.continue_family(sc, C.reference_leaves(sc), 0.30, 0.35,
+                                grid=grid, n_taylor=15)
+        d0, d1 = fam.discs[:2]
+        seed = C._secant_seed(d0, d1, 2.0 * d1.t - d0.t)
+        assert seed.t == 2.0 * d1.t - d0.t
+        for k in range(2):
+            assert np.max(np.abs(seed.h_coeffs[k]
+                                 - (2.0 * d1.h_coeffs[k] - d0.h_coeffs[k]))) \
+                <= 1e-15
+            # the seed carries d1's Psi correction h - f
+            q1 = DiscField.from_taylor(grid, d1.h_coeffs[k]).values \
+                - d1.f[k].values
+            q = DiscField.from_taylor(grid, seed.h_coeffs[k]).values \
+                - seed.f[k].values
+            assert np.max(np.abs(q1)) > 1e-6
+            assert np.max(np.abs(q - q1)) <= 1e-14
 
 
 class TestGlue:
