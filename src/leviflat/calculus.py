@@ -14,14 +14,15 @@ an explicit radial integral:
     m <= 0 :  c_m(rho) =  2 rho^(m-1) \int_0^rho f_m(s) s^(1-m) ds
 
 Each mode is expanded in the Zernike radial basis s^|m| P_k^(0,|m|)(2s^2 - 1)
-(Jacobi polynomials), whose coefficients come from the exact Gauss quadrature
-of the orthogonality relation -- no ill-conditioned Vandermonde solves -- and
-whose transforms are themselves polynomial, evaluated once per mode by exact
-quadrature of the integrals above.  The whole transform is precomputed as one
-small matrix per mode.  This reproduces T(1) = conj(zeta) and the monomial
-closed forms to rounding and keeps dbar o T = id at spectral accuracy; a
-quadrature-based evaluation of the defining area integral is used as an
-independent oracle in the test suite.
+(Jacobi polynomials, from the three-term recurrence, DLMF 18.9.1), whose
+coefficients come from the exact Gauss quadrature of the orthogonality
+relation -- no ill-conditioned Vandermonde solves -- and whose transforms are
+themselves polynomial, evaluated once per mode by exact quadrature of the
+integrals above.  The whole transform is precomputed as one small matrix per
+mode.  This reproduces T(1) = conj(zeta) and the monomial closed forms to
+rounding and keeps dbar o T = id at spectral accuracy; a quadrature-based
+evaluation of the defining area integral is used as an independent oracle in
+the test suite.
 """
 
 from __future__ import annotations
@@ -85,6 +86,20 @@ def check_grid(n_theta: int, n_rho: int):
         raise ConfigError(f"n_rho = {n_rho} must be at least 8")
 
 
+def _jacobi_table(K, a, x):
+    """P_0 .. P_K^(0,a)(x), stacked on a new first axis, by the three-term
+    recurrence (DLMF 18.9.1)."""
+    x = np.asarray(x, dtype=float)
+    P = np.ones((K + 1,) + x.shape)
+    P[1:2] = 0.5 * ((a + 2) * x - a)      # an empty slice when K = 0
+    for n in range(2, K + 1):
+        c = 2 * n + a
+        P[n] = ((c - 1) * (c * (c - 2) * x - a * a) * P[n - 1]
+                - 2 * (n - 1) * (n + a - 1) * c * P[n - 2]) \
+            / (2 * n * (n + a) * (c - 2))
+    return P
+
+
 class DiscGrid:
     """Polar grid on the closed unit disc with spectral operators attached."""
 
@@ -123,8 +138,6 @@ class DiscGrid:
         return _CG_OPERATORS[key]
 
     def _build_cg(self):
-        from scipy.special import eval_jacobi
-
         R = self.n_radial
         s = self.rho
         deg_cap = self.n_rho  # max polynomial degree of the radial basis
@@ -148,25 +161,22 @@ class DiscGrid:
 
             # analysis: Zernike coefficients by the (exact) orthogonality
             # quadrature, c_k = (2(a + 2k) + 2) \int f_m(s) s^a P_k(x) s ds
-            Pv = np.stack([eval_jacobi(k, 0, a, x) for k in ks])
+            Pv = _jacobi_table(K, a, x)
             A = (2.0 * (a + 2 * ks) + 2.0)[:, None] * (w_rad * s ** a * Pv)
 
             # synthesis: the transform of each basis element at the nodes
-            Y = np.empty((R, K + 1))
             if m >= 1:
                 # -(1/2) rho^(m-1) \int_{2 rho^2 - 1}^{1} P_k^(0,m)(t) dt
                 half = 0.5 * (1.0 - x)
                 t = x[:, None] + half[:, None] * (gq_x[None, :] + 1.0)
-                for k in ks:
-                    quad = (gq_w * eval_jacobi(k, 0, a, t)).sum(axis=1) * half
-                    Y[:, k] = -0.5 * s ** (m - 1) * quad
+                quad = (_jacobi_table(K, a, t) @ gq_w).T * half[:, None]
+                Y = -0.5 * s[:, None] ** (m - 1) * quad
             else:
                 # 2 rho^(a+1) \int_0^1 sigma^(2a+1) P_k^(0,a)(2 rho^2 sigma^2 - 1) dsigma
                 sig = 0.5 * (gq_x + 1.0)
                 wsig = 0.5 * gq_w * sig ** (2 * a + 1)
                 arg = 2.0 * (s[:, None] * sig[None, :]) ** 2 - 1.0
-                for k in ks:
-                    Y[:, k] = 2.0 * s ** (a + 1) * (wsig * eval_jacobi(k, 0, a, arg)).sum(axis=1)
+                Y = 2.0 * s[:, None] ** (a + 1) * (_jacobi_table(K, a, arg) @ wsig).T
             mats[j] = Y @ A
         mats.setflags(write=False)
         shift.setflags(write=False)

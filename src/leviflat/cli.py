@@ -197,6 +197,7 @@ def _run_quadric(scenario, config, report, out_dir, quiet):
 
 
 def _write_family_files(result, scenario, config, report, out_dir):
+    t0 = time.time()
     os.makedirs(out_dir, exist_ok=True)
     fam = os.path.join(out_dir, "family.json")
     serialize.write_family(fam, result, scenario.name,
@@ -205,6 +206,7 @@ def _write_family_files(result, scenario, config, report, out_dir):
     serialize.write_cloud(cloud, result)
     for path in (fam, cloud):
         report.manifest.append(os.path.basename(path))
+    report.stage("write_outputs", "PASS", time.time() - t0)
 
 
 def _reference_leaves(scenario, report):
@@ -358,6 +360,7 @@ def _run_leaf(config: RunConfig, report: RunReport, quiet) -> int:
         raise ConfigError(f"leaf needs a sphere with two complex points; "
                           f"{config.scenario} has {len(scenario.poles)}")
     leaves = _reference_leaves(scenario, report)
+    t0 = time.time()
     os.makedirs(out_dir, exist_ok=True)
     rows = [np.column_stack([np.full(len(leaf.t), float(k)), leaf.t, leaf.u,
                              leaf.v, leaf.points])
@@ -367,6 +370,7 @@ def _run_leaf(config: RunConfig, report: RunReport, quiet) -> int:
         ["leaf", "t", "u", "v", "x1", "y1", "x2", "y2"],
         np.concatenate(rows, axis=0))
     report.manifest.append("leaf.csv")
+    report.stage("write_outputs", "PASS", time.time() - t0)
     report.diagnostics["n_points"] = [len(l.t) for l in leaves]
     return _emit(report, out_dir, quiet, 0)
 

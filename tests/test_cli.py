@@ -135,6 +135,9 @@ class TestMain:
         assert report["status"] == "PASS"
         assert report["checks"]["mu_zero"] == "PASS"
         assert sorted(report["manifest"]) == ["family.json", "gamma_cloud.csv"]
+        assert [s["name"] for s in report["stages"]] == [
+            "chart_invariants", "validate_adapted", "model_family",
+            "write_outputs"]
         assert (out_dir / "family.json").exists()
         assert (out_dir / "gamma_cloud.csv").exists()
         assert not (out_dir / "FAILED").exists()
@@ -289,6 +292,8 @@ class TestMain:
         report = json.loads((out_dir / "report.json").read_text())
         # the ball's leaves are meridians: u0 is a fixed point at once
         assert report["diagnostics"]["leaf_sweeps"] == [1, 1, 1]
+        assert [s["name"] for s in report["stages"]] == [
+            "integrate_leaf", "write_outputs"]
 
     def test_leaf_needs_two_complex_points(self, tmp_path):
         cfg = write_config(tmp_path, scenario="model-quadric")

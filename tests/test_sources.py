@@ -3,13 +3,15 @@ module-level function and class is reached from the package, a demo or an
 acceptance criterion, every class field is read somewhere, no module of
 the package or the tests imports a name it does not use, no function
 assigns a name it never reads, and every function the benchmark traces
-still exists.  Importing the package loads no scipy subpackage but
-scipy.special."""
+still exists.  The package imports nothing beyond the standard library and
+numpy, declares numpy as its one dependency, and loads no scipy module
+while building its operators or its model discs."""
 
 import ast
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -150,16 +152,40 @@ def test_trace_targets_resolve(monkeypatch):
 
 
 def test_scipy_footprint():
-    """Each scipy subpackage costs resident memory and import time in every
-    process; the package needs scipy.special alone."""
-    code = ("import pkgutil, sys, scipy, leviflat.cli\n"
-            "subpackages = {m.name for m in pkgutil.iter_modules(scipy.__path__)"
-            " if m.ispkg and not m.name.startswith('_')}\n"
-            "print(' '.join(sorted(subpackages & {m.split('.')[1]"
-            " for m in sys.modules if m.startswith('scipy.')})))")
+    """scipy costs resident memory and import time in every process that
+    loads it; the package needs none of it, also where it imports lazily."""
+    code = ("import sys, leviflat.cli\n"
+            "from leviflat import bishop, calculus\n"
+            "grid = calculus.DiscGrid(32, 16)\n"
+            "grid.cg_apply(grid.zeta)\n"
+            "bishop.ellipse_map(0.7, 1.0)\n"
+            "print(' '.join(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.'))))")
     path = os.pathsep.join([str(PACKAGE.parent)]
                            + os.environ.get("PYTHONPATH", "").split(os.pathsep))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.split() == ["special"]
+    assert out.stdout.split() == []
+
+
+def top_level_imports(tree):
+    """The top-level module of each absolute import, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_dependencies_are_numpy_alone():
+    imported = set().union(*(top_level_imports(ast.parse(p.read_text()))
+                             for p in SOURCES))
+    assert imported - sys.stdlib_module_names == {"numpy"}
+    # tomllib is not in Python 3.10, which requires-python admits
+    text = (ROOT / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text,
+                     re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', deps) == ["numpy"]
