@@ -204,8 +204,9 @@ def _write_family_files(result, scenario, config, report, out_dir):
                            (config.n_theta, config.n_rho))
     cloud = os.path.join(out_dir, "gamma_cloud.csv")
     serialize.write_cloud(cloud, result)
-    for path in (fam, cloud):
-        report.manifest.append(os.path.basename(path))
+    written = {os.path.basename(p): os.path.getsize(p) for p in (fam, cloud)}
+    report.manifest += list(written)
+    report.diagnostics["bytes_written"] = written
     report.stage("write_outputs", "PASS", time.time() - t0)
 
 
@@ -365,11 +366,11 @@ def _run_leaf(config: RunConfig, report: RunReport, quiet) -> int:
     rows = [np.column_stack([np.full(len(leaf.t), float(k)), leaf.t, leaf.u,
                              leaf.v, leaf.points])
             for k, leaf in enumerate(leaves)]
-    serialize.write_csv(
-        os.path.join(out_dir, "leaf.csv"),
-        ["leaf", "t", "u", "v", "x1", "y1", "x2", "y2"],
-        np.concatenate(rows, axis=0))
+    path = os.path.join(out_dir, "leaf.csv")
+    serialize.write_csv(path, ["leaf", "t", "u", "v", "x1", "y1", "x2", "y2"],
+                        np.concatenate(rows, axis=0))
     report.manifest.append("leaf.csv")
+    report.diagnostics["bytes_written"] = {"leaf.csv": os.path.getsize(path)}
     report.stage("write_outputs", "PASS", time.time() - t0)
     report.diagnostics["n_points"] = [len(l.t) for l in leaves]
     return _emit(report, out_dir, quiet, 0)

@@ -1,13 +1,15 @@
 """Serialization of discs and filling results (JSON + CSV, 17 significant digits).
 
-The JSON writer formats every float with '%.17g' so output is deterministic
-and round-trips exactly; the standard library encoder uses shortest
-round-trip repr, which is why a small recursive formatter is used instead.
+Both writers format every float with '%.17g' so output is deterministic and
+round-trips exactly (the standard library encoder uses shortest round-trip
+repr).  Float arrays go through `_formatted`, which formats each distinct
+bit pattern once: '%.17g' is the costly step, and the files repeat a lot.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -17,9 +19,21 @@ CSV_BLOCK_ROWS = 1024   # rows formatted per write: bounds the text held at once
 
 def _fmt_float(x):
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x} in serialized output")
     return FLOAT_FMT % x
+
+
+def _formatted(values):
+    """'%.17g' cells of the values flattened as float64, formatting each
+    distinct bit pattern once (so -0.0 stays apart from 0.0)."""
+    flat = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(flat).all():
+        bad = flat[~np.isfinite(flat)][0]
+        raise ValueError(f"non-finite value {bad} in serialized output")
+    bits, index = np.unique(flat.view(np.uint64), return_inverse=True)
+    text = (FLOAT_FMT + "\n") * len(bits) % tuple(bits.view(float).tolist())
+    return np.array(text.split("\n"), dtype=object)[index].tolist()
 
 
 def dumps(obj, indent=0):
@@ -33,9 +47,12 @@ def dumps(obj, indent=0):
             f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}"
             for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
+    if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size
+            and obj.dtype.kind == "f"):
+        return ("[\n" + inner + (",\n" + inner).join(_formatted(obj))
+                + "\n" + pad + "]")
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) \
-            else list(obj)
+        seq = list(obj.tolist() if isinstance(obj, np.ndarray) else obj)
         if not seq:
             return "[]"
         items = ",\n".join(f"{inner}{dumps(v, indent + 1)}" for v in seq)
@@ -60,15 +77,12 @@ def write_json(path, obj):
 
 def write_csv(path, header, rows):
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if not np.isfinite(rows).all():
-        bad = rows[~np.isfinite(rows)][0]
-        raise ValueError(f"non-finite value {bad} in serialized output")
-    line = ",".join([FLOAT_FMT] * rows.shape[1]) + "\n"
+    line = ",".join(["%s"] * rows.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for i in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows[i:i + CSV_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(line * len(block) % tuple(_formatted(block)))
 
 
 def disc_to_dict(disc):

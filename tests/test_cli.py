@@ -145,6 +145,9 @@ class TestMain:
         assert fam["scenario"] == "model-quadric"
         assert fam["junction_t"] is None
         assert fam["n_discs"] == 10
+        assert report["diagnostics"]["bytes_written"] == {
+            name: (out_dir / name).stat().st_size
+            for name in ("family.json", "gamma_cloud.csv")}
 
     def test_quadric_run_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, scenario="model-quadric")
@@ -294,6 +297,8 @@ class TestMain:
         assert report["diagnostics"]["leaf_sweeps"] == [1, 1, 1]
         assert [s["name"] for s in report["stages"]] == [
             "integrate_leaf", "write_outputs"]
+        assert report["diagnostics"]["bytes_written"] == {
+            "leaf.csv": (out_dir / "leaf.csv").stat().st_size}
 
     def test_leaf_needs_two_complex_points(self, tmp_path):
         cfg = write_config(tmp_path, scenario="model-quadric")

@@ -1,12 +1,49 @@
 """Tests for the deterministic 17-digit JSON/CSV writers."""
 
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from leviflat import bishop, continuation
 from leviflat import serialize as S
+from leviflat.calculus import DiscGrid
+
+
+def reference_dumps(obj, indent=0):
+    """The JSON text of obj with one '%.17g' per float, element by element."""
+    pad, inner = "  " * indent, "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{\n" + ",\n".join(
+            f"{inner}{json.dumps(str(k))}: {reference_dumps(v, indent + 1)}"
+            for k, v in obj.items()) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(
+            inner + reference_dumps(v, indent + 1) for v in obj) \
+            + "\n" + pad + "]"
+    if isinstance(obj, float):
+        return "%.17g" % obj
+    return json.dumps(obj)
+
+
+def lines(text):
+    """text as a list of lines, so that a failed comparison reports the first
+    differing line instead of diffing megabytes of text"""
+    return text.split("\n")
+
+
+def reference_csv(header, rows):
+    return ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % x for x in row) + "\n"
+        for row in np.asarray(rows).tolist())
 
 
 class TestDumps:
@@ -45,6 +82,22 @@ class TestDumps:
         obj = {"a": [0.1, 0.2], "b": {"c": 3}}
         assert S.dumps(obj) == S.dumps(obj)
 
+    @pytest.mark.parametrize("obj", [
+        np.array([0.5, -0.0, 0.5, 0.0, 1e-300, 0.5, -0.0, 0.0]),
+        np.array([0.1]),
+        np.array([]),
+        np.array([0.1, 0.25, 0.1, -0.0], dtype=np.float32),
+        np.arange(6.0).reshape(3, 2) / 7,
+        {"a": {"b": np.array([1.5, -0.0, 1.5]), "c": [np.array([0.2]), 2]},
+         "d": np.zeros(3), "e": []},
+    ], ids=["repeats", "length-1", "empty", "float32", "2d", "nested"])
+    def test_float_arrays_match_per_element_form(self, obj):
+        assert S.dumps(obj) == reference_dumps(obj)
+
+    def test_non_finite_array_rejected(self):
+        with pytest.raises(ValueError, match="non-finite value -inf "):
+            S.dumps({"x": np.array([0.5, -np.inf, 1.0])})
+
 
 class TestFiles:
     def test_write_csv(self, tmp_path):
@@ -64,6 +117,62 @@ class TestFiles:
         expected = "a,b,c,d,e,f,g\n" + "".join(
             ",".join("%.17g" % x for x in row) + "\n" for row in rows)
         assert path.read_text() == expected
+
+    def test_write_csv_repeated_values(self, tmp_path):
+        # values that repeat within and across blocks, both zeros in one
+        # column, the smallest subnormal and two adjacent doubles
+        n = 3 * S.CSV_BLOCK_ROWS + 17
+        rng = np.random.default_rng(2)
+        pool = [0.0, -0.0, 5e-324, 0.1, np.nextafter(0.1, 1.0), -2.5, 1e30]
+        rows = np.column_stack([
+            np.repeat(np.arange(n // 500 + 1) / 3.0, 500)[:n],
+            rng.choice(pool, n),
+            np.tile(np.linspace(0.0, 1.0, 33), n // 33 + 1)[:n],
+            np.full(n, 0.1),
+            rng.standard_normal(n)])
+        for data in (rows, rows.astype(np.float32)):
+            path = tmp_path / "t.csv"
+            S.write_csv(path, list("abcde"), data)
+            assert lines(path.read_text()) \
+                == lines(reference_csv("abcde", data))
+
+    def test_write_csv_non_finite_in_a_later_block(self, tmp_path):
+        rows = np.ones((2 * S.CSV_BLOCK_ROWS + 10, 3))
+        rows[2 * S.CSV_BLOCK_ROWS + 5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite value nan "):
+            S.write_csv(tmp_path / "t.csv", ["x", "y", "z"], rows)
+
+    def test_write_csv_memory_is_bounded_by_a_block(self, tmp_path):
+        # a writer that held the whole file's cells or text at once would
+        # peak about ten times higher on ten times the rows
+        rng = np.random.default_rng(3)
+        peaks = []
+        for rows in (rng.standard_normal((4096, 7)),
+                     rng.standard_normal((40960, 7))):
+            tracemalloc.start()
+            try:
+                S.write_csv(tmp_path / "t.csv", list("abcdefg"), rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+    def test_model_family_files_match_reference(self, tmp_path):
+        discs = bishop.model_family(0.7, np.linspace(0.1, 1.0, 10),
+                                    DiscGrid(64, 32))
+        result = continuation.FillingResult(
+            discs=discs, t_values=np.array([d.t for d in discs]),
+            monitors=[d.diagnostics for d in discs], junction_t=float("nan"),
+            glue_distance=0.0)
+        S.write_family(tmp_path / "family.json", result, "model-quadric",
+                       (64, 32))
+        S.write_cloud(tmp_path / "gamma_cloud.csv", result)
+        family = S.family_to_dict(result, "model-quadric", (64, 32))
+        assert lines((tmp_path / "family.json").read_text()) \
+            == lines(reference_dumps(family) + "\n")
+        assert lines((tmp_path / "gamma_cloud.csv").read_text()) == lines(
+            reference_csv(["t", "rho", "theta", "x1", "y1", "x2", "y2"],
+                          result.cloud()))
 
     def test_write_csv_non_finite_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="non-finite value inf"):
