@@ -12,8 +12,10 @@ three-point boundary gauge.
 Its residual goes through Psi^{-1}; its Jacobian is that of the standard
 structure (Psi^{-1} left out), by the chain rule through the linear map from
 coefficients to boundary values, exact where A = 0 and an O(|A|)
-approximation otherwise.  Each Psi^{-1} fixed point starts from the
-correction h - f of the solve before it.
+approximation otherwise.  Psi^{-1} is solved only as tightly as Newton
+needs (ETA times its residual; inexact Newton), and once more to PSI_TOL at
+the converged disc.  Each Psi^{-1} fixed point starts from the correction
+h - f of the solve before it.
 """
 
 from __future__ import annotations
@@ -45,6 +47,15 @@ PIN_THETA = np.array([2 * np.pi / 3, -2 * np.pi / 3])   # member2, member3 pins
 MEMBER_STEP = 1e-7          # central-difference step of a leaf membership
 UNDERRESOLVED_FACTOR = 10.0  # a stall this close to newton_tol ...
 NO_DECREASE = 1e-2           # ... with |J dx + r| >= (1 - this) |r| is a floor
+PSI_TOL = 1e-12             # a Psi^{-1} solve stops when a sweep moves f less
+ETA = 0.1                   # inexact Newton: Psi^{-1} to ETA |r| (forcing term)
+SEED_PSI_TOL = 1e-6         # Psi^{-1} tolerance of the seed's first solve
+
+# the parameter of each probe_disc center condition: Re, Im of c0, d0, c1, d1
+PROBE_ROWS = np.array([0, 1, 4, 5, 2, 3, 6, 7])
+
+# read-only (zeta powers, boundary basis), one per grid shape and solve order
+_SOLVE_OPERATORS = {}
 
 
 # --- surface patches and complex-point models ---------------------------------
@@ -295,10 +306,11 @@ def _psi_rhs(chart: AmbientChart, grid: DiscGrid, vals):
     return 0.0 if q is None else grid.cg_apply(q)
 
 
-def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals, start=None):
+def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals, start=None,
+                       tol=PSI_TOL):
     """Fixed point f = h - T(A(f) dbar(conj f)), batched over leading axes,
     iterated from f = start (default h) until a sweep moves f by at most
-    1e-12.  Returns f and the number of sweeps run (none where A vanishes)."""
+    tol.  Returns f and the number of sweeps run (none where A vanishes)."""
     f = hvals if start is None else start      # never written
     prev = np.inf
     growth = sweeps = 0
@@ -308,7 +320,7 @@ def psi_inverse_values(chart: AmbientChart, grid: DiscGrid, hvals, start=None):
         f_new = hvals - rhs
         change = float(np.max(np.abs(f_new - f)))
         f = f_new
-        if change <= 1e-12:
+        if change <= tol:
             return f, sweeps
         growth = growth + 1 if change > prev else 0
         if growth >= 5:
@@ -349,7 +361,8 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2):
 
     Returns (ambient complex samples (R, n_theta, 2), grid).  Built by the
     resolution-operator inverse in linear coordinates normalizing J(p) to the
-    standard structure, with a Newton correction of the center conditions.
+    standard structure, with a Newton correction of the center conditions
+    by the standard-structure Jacobian (A = O(scale) in those coordinates).
     """
     p = np.asarray(p, dtype=float)
     grid = DiscGrid(32, 16)
@@ -362,16 +375,12 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2):
 
     loc_chart = AmbientChart(
         A_fn=lambda zl: deformation_tensor_values(J_loc(zl)))
-    zpow = np.stack([np.ones_like(grid.zeta), grid.zeta])   # (2, R, T)
 
     def solve(params, q=None):
-        # params (..., 8): complex (c0, c1, d0, d1) packed as real pairs;
-        # the fixed point starts from h - q, q the base point's correction
-        params = np.asarray(params)
-        cc = params[..., 0::2] + 1j * params[..., 1::2]      # (..., 4)
-        h = np.empty(params.shape[:-1] + (2,) + grid.zeta.shape, dtype=complex)
-        h[..., 0, :, :] = np.einsum("...n,nrt->...rt", cc[..., 0:2], zpow)
-        h[..., 1, :, :] = np.einsum("...n,nrt->...rt", cc[..., 2:4], zpow)
+        # params (8,): complex (c0, c1, d0, d1) packed as real pairs; the
+        # fixed point starts from h - q, q the last solve's correction
+        cc = params[0::2] + 1j * params[1::2]
+        h = np.stack([cc[0] + cc[1] * grid.zeta, cc[2] + cc[3] * grid.zeta])
         try:
             f, _ = psi_inverse_values(loc_chart, grid, h,
                                       start=None if q is None else h - q)
@@ -381,12 +390,13 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2):
 
     def center_residual(f):
         # center value and holomorphic derivative of both components
-        c = np.stack([grid.center_value(f[..., k, :, :]) for k in range(2)], -1)
-        d = np.stack([grid.center_dz(f[..., k, :, :]) for k in range(2)], -1)
-        return np.stack([c[..., 0].real, c[..., 0].imag, c[..., 1].real,
-                         c[..., 1].imag, (d[..., 0] - 1.0).real,
-                         (d[..., 0]).imag, d[..., 1].real, d[..., 1].imag], -1)
+        c = [grid.center_value(f[k]) for k in range(2)]
+        d = [grid.center_dz(f[k]) for k in range(2)]
+        return np.array([c[0].real, c[0].imag, c[1].real, c[1].imag,
+                         (d[0] - 1.0).real, d[0].imag, d[1].real, d[1].imag])
 
+    # where A = 0, f = h and residual row i is parameter PROBE_ROWS[i] less
+    # a constant: the standard-structure Jacobian is that permutation
     x = np.array([0, 0, 0, 0, 1, 0, 0, 0], dtype=float)  # h = (zeta, 0)
     q = None
     for _ in range(8):
@@ -394,11 +404,7 @@ def probe_disc(chart: AmbientChart, p, t, scale=1e-2):
         r = center_residual(f)
         if np.max(np.abs(r)) <= 1e-12:
             break
-        h_fd = 1e-7
-        batch = x[None, :] + h_fd * np.eye(8)
-        rb = center_residual(solve(batch, q)[0])
-        Jac = (rb - r[None, :]).T / h_fd
-        x = x - np.linalg.solve(Jac, r)
+        x[PROBE_ROWS] -= r
     else:
         f, _ = solve(x, q)
         if np.max(np.abs(center_residual(f))) > 1e-9:
@@ -489,6 +495,20 @@ def _boundary_basis(grid: DiscGrid, n: int):
     return np.moveaxis(pts, 0, -1)
 
 
+def _solve_operators(grid: DiscGrid, n: int):
+    """The powers zeta^k, k < n, at the grid nodes (n, R, T) and
+    _boundary_basis(grid, n), built on first use and shared read-only by
+    every solve of the grid shape and order."""
+    key = (grid.n_theta, grid.n_rho, n)
+    if key not in _SOLVE_OPERATORS:
+        ops = (np.stack([grid.zeta ** k for k in range(n)]),
+               _boundary_basis(grid, n))
+        for a in ops:
+            a.setflags(write=False)
+        _SOLVE_OPERATORS[key] = ops
+    return _SOLVE_OPERATORS[key]
+
+
 def _jacobian(surface: SurfacePatch, pins: PinSet, basis, x):
     """Jacobian of _residual_rows at the boundary of h (the standard-structure
     map), by the chain rule through the linear map `basis` of
@@ -534,37 +554,59 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
     linearly at that rate; the residual the steps minimize stays exact, and
     so does the converged disc, whose winding mu must be 0.
 
-    Each Psi^{-1} solve starts from h - q, q = h - f the correction of the
-    last solve; the first q is that of the seed `init` (its h values minus
-    its f).  A line search that stalls within UNDERRESOLVED_FACTOR of
-    newton_tol, where the step predicts no decrease of |r|, has reached the
-    truncation floor of the Taylor ansatz: Underresolved.
+    Psi^{-1} is solved inexactly (Dembo, Eisenstat and Steihaug 1982), so
+    that every residual the line search compares is solved to at most
+    max(PSI_TOL, ETA |r|), |r| the best residual before it: a trial step
+    to that, the seed to SEED_PSI_TOL, sweeping on from its f until it
+    meets ETA times its own residual.  At |r| <= newton_tol the disc is
+    solved once more to PSI_TOL and its residual recomputed; if that is
+    above newton_tol, Newton goes on with PSI_TOL solves.  No re-solve is
+    needed where Psi^{-1} ran no sweep (A = 0).  Each solve starts from
+    h - q, q = h - f the correction of the last solve; the first q is that
+    of the seed `init` (its h values minus its f).  A line search that
+    stalls within UNDERRESOLVED_FACTOR of newton_tol, where the step
+    predicts no decrease of |r|, has reached the truncation floor of the
+    Taylor ansatz: Underresolved.
     """
     chart = scenario.chart
     grid = init.grid
     check_taylor_order(n_taylor, grid.n_theta, grid.n_rho)
     n = n_taylor + 1
-    zpow = np.stack([grid.zeta ** k for k in range(n)])
-    basis = _boundary_basis(grid, n)
+    zpow, basis = _solve_operators(grid, n)
 
     coeffs = np.zeros((2, n), dtype=complex)
     for c, init_c in zip(coeffs, init.h_coeffs):
         c[:min(n, len(init_c))] = init_c[:n]
     x = _pack(coeffs)
     q = _coeffs_to_vals(coeffs, zpow) - init.values()
-    sweeps = 0
+    sweeps = solves = 0
+    loose = False           # the last solve swept to a tolerance above PSI_TOL
 
-    def residual(xb):
-        nonlocal q, sweeps
+    def residual(xb, tol):
+        """Residual rows and their sup norm at f = Psi^{-1}(h) solved to tol,
+        and f."""
+        nonlocal q, sweeps, solves, loose
         vals = _coeffs_to_vals(_unpack(xb, n), zpow)
-        f, s = psi_inverse_values(chart, grid, vals, start=vals - q)
-        q, sweeps = vals - f, sweeps + s
-        return _residual_rows(surface, pins, grid, f[..., -1, :]), f
+        f, s = psi_inverse_values(chart, grid, vals, start=vals - q, tol=tol)
+        q, sweeps, solves = vals - f, sweeps + s, solves + 1
+        loose = s > 0 and tol > PSI_TOL
+        r = _residual_rows(surface, pins, grid, f[..., -1, :])
+        return r, float(np.max(np.abs(r))), f
 
-    r0, f0 = residual(x)
-    best = float(np.max(np.abs(r0)))
+    tol = SEED_PSI_TOL
+    r0, best, f0 = residual(x, tol)
+    while loose and tol > max(PSI_TOL, ETA * best):   # sweep on from f
+        tol = max(PSI_TOL, ETA * best)
+        r0, best, f0 = residual(x, tol)
+    eta = ETA               # 0 once an exact re-solve was above newton_tol
     iters = 0
-    while best > newton_tol:
+    while True:
+        if best <= newton_tol:
+            if not loose:
+                break
+            eta = 0.0
+            r0, best, f0 = residual(x, PSI_TOL)
+            continue
         if iters >= 25:
             raise MaxIterations(
                 "no convergence in 25 Gauss-Newton iterations "
@@ -572,12 +614,12 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
         iters += 1
         J = _jacobian(surface, pins, basis, x)
         dx = _gauss_newton_step(J, r0)
+        tol = max(PSI_TOL, eta * best)
         for k in range(9):
             xt = x + dx * 0.5 ** k
-            rt, ft = residual(xt)
-            if float(np.max(np.abs(rt))) < best:
-                x, r0, f0 = xt, rt, ft
-                best = float(np.max(np.abs(r0)))
+            rt, size, ft = residual(xt, tol)
+            if size < best:
+                x, r0, best, f0 = xt, rt, size, ft
                 break
         else:
             predicted = np.linalg.norm(J @ dx + r0) / np.linalg.norm(r0)
@@ -604,7 +646,8 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
         h_coeffs=tuple(_unpack(x, n)),
         t=init.t,
         diagnostics={"newton_iters": iters, "psi_sweeps": sweeps,
-                     "boundary_residual": bres, "cr_residual": cr})
+                     "psi_solves": solves, "boundary_residual": bres,
+                     "cr_residual": cr})
     from .continuation import maslov_index
     mu = disc.diagnostics["mu"] = maslov_index(disc, surface)
     if mu != 0:

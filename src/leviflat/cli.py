@@ -297,7 +297,7 @@ def _run_scenario(config: RunConfig, report: RunReport, quiet) -> int:
     report.diagnostics["max_newton_iters"] = int(
         max(d.diagnostics["newton_iters"] for d in result.discs))
     report.diagnostics["n_discs"] = len(result.discs)
-    for key in ("newton_iters", "psi_sweeps"):
+    for key in ("newton_iters", "psi_sweeps", "psi_solves"):
         report.diagnostics[f"total_{key}"] = int(sum(
             d.diagnostics[key] for fam in fams for d in fam.discs))
 

@@ -43,6 +43,7 @@ LEAF_STEPS = 256            # uniform steps of the tabulated leaf
 LEAF_PHI = np.arccos(0.96)  # leaves span LEAF_PHI..pi - LEAF_PHI: t 0.02..0.98
 MAX_DT = 0.025              # largest continuation step of continue_family
 MIN_DT = 1e-4               # a smaller step ends the branch (StepUnderflow)
+PREDICTOR_DISCS = 4         # accepted discs the continuation extrapolates
 
 LEVI_CIVITA = np.zeros((4, 4, 4, 4))     # eps_kijl = det of the permutation
 for _perm in itertools.permutations(range(4)):
@@ -292,17 +293,22 @@ def _initial_guess(scenario, leaves, t, grid, n_taylor) -> BishopDisc:
         h_coeffs=(c1, c2), t=float(t))
 
 
-def _secant_seed(d0: BishopDisc, d1: BishopDisc, t) -> BishopDisc:
-    """Taylor coefficients extrapolated linearly in t through d0 and d1 to t.
-    The seed's f is d1's f moved by the same holomorphic increment, so that
-    it carries d1's Psi correction h - f, from which bishop_solve starts
-    Psi^{-1}."""
-    s = (t - d1.t) / (d1.t - d0.t)
-    step = [s * (c1 - c0) for c0, c1 in zip(d0.h_coeffs, d1.h_coeffs)]
+def _lagrange_seed(discs, t) -> BishopDisc:
+    """Taylor coefficients extrapolated to t by the Lagrange polynomial in t
+    through `discs`.  The seed's f is the last disc's f moved by the same
+    holomorphic increment, so that it carries that disc's Psi correction
+    h - f, from which bishop_solve starts Psi^{-1}."""
+    last = discs[-1]
+    ts = [d.t for d in discs]
+    weights = [np.prod([(t - tk) / (tj - tk) for tk in ts[:j] + ts[j + 1:]])
+               for j, tj in enumerate(ts)]
+    # the weights sum to 1: extrapolate the increments from the last disc
+    step = [sum(w * (d.h_coeffs[k] - c) for w, d in zip(weights, discs))
+            for k, c in enumerate(last.h_coeffs)]
     return BishopDisc(
-        f=tuple(f + DiscField.from_taylor(d1.grid, dc)
-                for f, dc in zip(d1.f, step)),
-        h_coeffs=tuple(c1 + dc for c1, dc in zip(d1.h_coeffs, step)), t=t)
+        f=tuple(f + DiscField.from_taylor(last.grid, dc)
+                for f, dc in zip(last.f, step)),
+        h_coeffs=tuple(c + dc for c, dc in zip(last.h_coeffs, step)), t=t)
 
 
 def continue_family(scenario, leaves, t_start, t_stop, grid=None,
@@ -310,11 +316,13 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
                     grad_cap=None, side="p") -> DiscFamily:
     """March the pinned Bishop family from t_start to t_stop (snapped exactly).
 
-    Predictor: the first two solves of a branch start from the previous
-    disc (the flat-circle seed for the first), later ones from the secant
-    through the last two accepted discs (_secant_seed).  Step control: halve
-    on solver failure (StepUnderflow below MIN_DT), grow gently on easy
-    solves; each failed step is recorded in DiscFamily.rejected.
+    Predictor: the first solve of a branch starts from the flat-circle
+    seed, later ones from the Lagrange extrapolation in t through the last
+    PREDICTOR_DISCS accepted discs, or all of them while there are fewer
+    (_lagrange_seed: the previous disc itself after one, the secant after
+    two).  Step control: halve on solver failure (StepUnderflow below
+    MIN_DT), grow gently on easy solves; each failed step is recorded in
+    DiscFamily.rejected.
     Underresolved (the Taylor ansatz floor) is not a failure that a smaller
     step mends and ends the branch.
     BlowUp is raised when the disc gradient exceeds grad_cap, or by default
@@ -353,8 +361,7 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
             t_next = disc.t + direction * dt
             if direction * (t_next - t_stop) >= 0:
                 t_next = float(t_stop)      # snap the junction exactly
-            seed = disc if len(discs) < 2 else \
-                _secant_seed(discs[-2], disc, t_next)
+            seed = _lagrange_seed(discs[-PREDICTOR_DISCS:], t_next)
             try:
                 nxt = solve_at(t_next, seed)
                 break

@@ -47,6 +47,8 @@ def dumps(obj, indent=0):
             f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 1)}"
             for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return dumps(obj.item(), indent)
     if (isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.size
             and obj.dtype.kind == "f"):
         return ("[\n" + inner + (",\n" + inner).join(_formatted(obj))

@@ -339,9 +339,12 @@ class TestZeroDeformationFastPath:
         slow = family()
         assert np.array_equal(fast.t_values, slow.t_values)
         for a, b in zip(fast.discs, slow.discs):
-            # the one difference: the fast path runs no sweep
+            # the one difference: the fast path runs no sweep, so it
+            # needs no exact re-solve of a loosely solved disc either
             assert a.diagnostics.pop("psi_sweeps") == 0
             assert b.diagnostics.pop("psi_sweeps") > 0
+            assert a.diagnostics.pop("psi_solves") \
+                < b.diagnostics.pop("psi_solves")
             assert a.diagnostics == b.diagnostics
             for ca, cb in zip(a.h_coeffs, b.h_coeffs):
                 assert np.array_equal(ca, cb)
@@ -504,6 +507,79 @@ class TestExactJacobian:
         J = np.array([[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]])
         with pytest.raises(NewtonStalled, match="diag R"):
             B._gauss_newton_step(J, np.ones(3))
+
+
+class TestInexactPsiInverse:
+    """Psi^-1 solved to ETA |r| inside Newton, once more to PSI_TOL at the end."""
+
+    def family(self, name, n_taylor, monkeypatch=None, **params):
+        """Five discs from t 0.30 to 0.40 at 32x16, and the tolerance of
+        each Psi^-1 call when monkeypatch is given."""
+        sc = make_scenario(name, **params)
+        tols = []
+        psi_inverse = B.psi_inverse_values
+
+        def spy(chart, grid, hvals, **kw):
+            tols.append(kw["tol"])
+            return psi_inverse(chart, grid, hvals, **kw)
+
+        if monkeypatch is not None:
+            monkeypatch.setattr(B, "psi_inverse_values", spy)
+        fam = C.continue_family(sc, C.reference_leaves(sc), 0.30, 0.40,
+                                grid=DiscGrid(32, 16), n_taylor=n_taylor)
+        return fam, tols
+
+    def test_same_discs_as_exact_solves(self, monkeypatch):
+        inexact, tols = self.family("perturbed-ball", 15, monkeypatch,
+                                    eps=0.05)
+        # each disc ends with one exact re-solve
+        assert tols.count(B.PSI_TOL) == len(inexact.discs)
+        assert tols[-1] == B.PSI_TOL
+        monkeypatch.setattr(B, "ETA", 0.0)
+        exact, _ = self.family("perturbed-ball", 15, eps=0.05)
+        assert np.array_equal(inexact.t_values, exact.t_values)
+        for a, b in zip(inexact.discs, exact.discs):
+            assert np.max(np.abs(a.values() - b.values())) <= 1e-10
+            assert a.diagnostics["cr_residual"] <= 1e-12
+            assert a.diagnostics["psi_sweeps"] < b.diagnostics["psi_sweeps"]
+
+    def test_loose_convergence_is_checked_exactly(self, monkeypatch):
+        # loose solves that run one sweep and return their start: Newton
+        # meets newton_tol on a wrong residual, the exact re-solve refutes
+        # it, and Newton goes on with exact solves to the same disc
+        sc = make_scenario("perturbed-ball", eps=0.05)
+        leaves = C.reference_leaves(sc)
+        grid = DiscGrid(32, 16)
+
+        def solve():
+            return B.bishop_solve(
+                sc, sc.surface, C._initial_guess(sc, leaves, 0.3, grid, 15),
+                C.make_pinset(sc, leaves, 0.3), n_taylor=15)
+
+        ref = solve()
+        psi_inverse = B.psi_inverse_values
+        tols = []
+
+        def lazy(chart, grid, hvals, start=None, tol=B.PSI_TOL):
+            tols.append(tol)
+            if tol > B.PSI_TOL:
+                return hvals if start is None else start, 1
+            return psi_inverse(chart, grid, hvals, start=start, tol=tol)
+
+        monkeypatch.setattr(B, "psi_inverse_values", lazy)
+        disc = solve()
+        first_exact = tols.index(B.PSI_TOL)
+        assert first_exact < len(tols) - 2       # Newton went on after it
+        assert set(tols[first_exact:]) == {B.PSI_TOL}
+        assert disc.diagnostics["newton_iters"] > ref.diagnostics["newton_iters"]
+        assert np.max(np.abs(disc.values() - ref.values())) <= 1e-10
+
+    def test_ball_needs_no_resolve(self, monkeypatch):
+        fam, tols = self.family("ball", 12, monkeypatch)
+        assert min(tols) > B.PSI_TOL                 # A = 0: no re-solve
+        assert sum(d.diagnostics["psi_solves"] for d in fam.discs) \
+            == len(tols)
+        assert all(d.diagnostics["psi_sweeps"] == 0 for d in fam.discs)
 
 
 class TestProbeDisc:

@@ -352,6 +352,20 @@ class TestPerturbedRuns:
         assert diag["total_newton_iters"] < previous_disc_iters
         assert diag["total_psi_sweeps"] > diag["total_newton_iters"]
 
+    def test_work_counts(self, tmp_path):
+        # the benchmark's perturbed-filling run: inexact Psi^-1 and the
+        # four-disc predictor took 136 iterations and 248 sweeps, against
+        # 153 and 555 with exact solves and the secant
+        code, report = self.run(tmp_path, 0.01, 12)
+        diag = report["diagnostics"]
+        assert code == 0 and report["status"] == "PASS"
+        assert diag["n_discs"] == 37
+        assert diag["rejected_steps"] == []
+        assert diag["max_cr_residual"] <= 1e-12
+        assert diag["total_newton_iters"] <= 140
+        assert diag["total_psi_sweeps"] <= 330
+        assert 37 < diag["total_psi_solves"] <= diag["total_psi_sweeps"]
+
     def test_taylor_floor_is_underresolved(self, tmp_path):
         code, report = self.run(tmp_path, 0.08, 15)
         assert code == 2 and report["status"] == "FAIL"

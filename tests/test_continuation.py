@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from leviflat import bishop as B
 from leviflat import cli
 from leviflat import continuation as C
 from leviflat.calculus import DiscField, DiscGrid
@@ -37,7 +38,6 @@ def grid():
 
 @pytest.fixture(scope="module")
 def ball_disc(ball, leaves, grid):
-    from leviflat import bishop as B
     t = 0.35
     return B.bishop_solve(ball, ball.surface,
                           C._initial_guess(ball, leaves, t, grid, 24),
@@ -374,26 +374,74 @@ class TestRejectedSteps:
         assert calls() == 2
 
 
-class TestSecantPredictor:
+def disc_at(grid, h_coeffs, q, t):
+    """A disc record with Taylor coefficients h_coeffs and Psi correction q
+    (values of h - f, one per component)."""
+    f = tuple(DiscField.from_taylor(grid, c).values - qk
+              for c, qk in zip(h_coeffs, q))
+    return B.BishopDisc(f=tuple(DiscField(grid, v) for v in f),
+                        h_coeffs=tuple(h_coeffs), t=t)
+
+
+def correction(grid, disc, k):
+    return DiscField.from_taylor(grid, disc.h_coeffs[k]).values \
+        - disc.f[k].values
+
+
+class TestLagrangePredictor:
     def test_seed_extrapolates_and_keeps_the_correction(self):
+        # two discs: the secant through them
         sc = make_scenario("perturbed-ball", eps=0.05)
         grid = DiscGrid(32, 16)
         fam = C.continue_family(sc, C.reference_leaves(sc), 0.30, 0.35,
                                 grid=grid, n_taylor=15)
         d0, d1 = fam.discs[:2]
-        seed = C._secant_seed(d0, d1, 2.0 * d1.t - d0.t)
-        assert seed.t == 2.0 * d1.t - d0.t
+        t = 2.0 * d1.t - d0.t
+        seed = C._lagrange_seed([d0, d1], t)
+        assert seed.t == t
+        s = (t - d1.t) / (d1.t - d0.t)
         for k in range(2):
-            assert np.max(np.abs(seed.h_coeffs[k]
-                                 - (2.0 * d1.h_coeffs[k] - d0.h_coeffs[k]))) \
-                <= 1e-15
+            secant = d1.h_coeffs[k] + s * (d1.h_coeffs[k] - d0.h_coeffs[k])
+            assert np.max(np.abs(seed.h_coeffs[k] - secant)) <= 1e-15
             # the seed carries d1's Psi correction h - f
-            q1 = DiscField.from_taylor(grid, d1.h_coeffs[k]).values \
-                - d1.f[k].values
-            q = DiscField.from_taylor(grid, seed.h_coeffs[k]).values \
-                - seed.f[k].values
+            q1 = correction(grid, d1, k)
             assert np.max(np.abs(q1)) > 1e-6
-            assert np.max(np.abs(q - q1)) <= 1e-14
+            assert np.max(np.abs(correction(grid, seed, k) - q1)) <= 1e-14
+
+    def test_cubic_family_is_reproduced(self):
+        grid = DiscGrid(32, 16)
+        rng = np.random.default_rng(3)
+        # h(t) = sum_j a_j t^j, cubic, for both components
+        a = rng.standard_normal((4, 2, 8)) + 1j * rng.standard_normal((4, 2, 8))
+
+        def h(t):
+            return sum(a[j] * t ** j for j in range(4))
+
+        q = 1e-3 * (rng.standard_normal((2,) + grid.zeta.shape)
+                    + 1j * rng.standard_normal((2,) + grid.zeta.shape))
+        ts = [0.3, 0.325, 0.3375, 0.35, 0.3625]   # a halved step inside
+        discs = [disc_at(grid, h(t), q * (1 + t), t) for t in ts]
+        t = 0.3875
+        seed = C._lagrange_seed(discs[-C.PREDICTOR_DISCS:], t)
+        assert seed.t == t
+        for k in range(2):
+            assert np.max(np.abs(seed.h_coeffs[k] - h(t)[k])) <= 1e-12
+            assert np.max(np.abs(correction(grid, seed, k)
+                                 - correction(grid, discs[-1], k))) <= 1e-14
+        # three discs miss the cubic term
+        seed3 = C._lagrange_seed(discs[-3:], t)
+        assert np.max(np.abs(seed3.h_coeffs[0] - h(t)[0])) > 1e-6
+
+    def test_one_disc_is_its_own_seed(self):
+        grid = DiscGrid(32, 16)
+        c = np.arange(1, 4) * (1 + 1j)
+        q = np.full((2,) + grid.zeta.shape, 0.01 + 0j)
+        disc = disc_at(grid, (c, c[:1]), q, 0.3)
+        seed = C._lagrange_seed([disc], 0.325)
+        assert seed.t == 0.325
+        for k in range(2):
+            assert np.array_equal(seed.h_coeffs[k], disc.h_coeffs[k])
+            assert np.array_equal(seed.f[k].values, disc.f[k].values)
 
 
 class TestGlue:

@@ -68,6 +68,15 @@ class TestDumps:
         assert back == {"a": [0, 1, 2], "b": [{"c": 0.5}], "d": None,
                         "e": True, "f": "text"}
 
+    def test_zero_dimensional_arrays_are_scalars(self):
+        obj = {"x": np.asarray(0.5), "n": np.asarray(3),
+               "z": np.asarray(1.5 - 2.25j), "b": np.asarray(True)}
+        assert json.loads(S.dumps(obj)) == {
+            "x": 0.5, "n": 3, "z": {"re": 1.5, "im": -2.25}, "b": True}
+        assert S.dumps(np.asarray(0.1)) == S.dumps(0.1)
+        with pytest.raises(ValueError):
+            S.dumps(np.asarray(np.nan))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             S.dumps({"x": float("nan")})
