@@ -8,18 +8,19 @@ Szego's elliptic-function formula.  J-holomorphy is enforced through the
 resolution operator Psi: f -> h = f + T(A(f) dbar(conj f)), whose inverse is
 a contraction for small deformation tensors; the Bishop solver runs
 Gauss-Newton on the Taylor coefficients of the holomorphic unknown h with a
-three-point boundary gauge.
-Its residual goes through Psi^{-1}; its Jacobian is that of the standard
-structure (Psi^{-1} left out), by the chain rule through the linear map from
-coefficients to boundary values, exact where A = 0 and an O(|A|)
-approximation otherwise.  Psi^{-1} is solved only as tightly as Newton
-needs (ETA times its residual; inexact Newton), and once more to PSI_TOL at
-the converged disc.  Each Psi^{-1} fixed point starts from the correction
-h - f of the solve before it.
+three-point boundary gauge.  h is sampled by DiscGrid.taylor_values, and f at
+the two gauge pins by DiscGrid.boundary_at.  The residual goes through
+Psi^{-1}; the Jacobian is that of the standard structure (Psi^{-1} left
+out), by the chain rule through the linear map from coefficients to boundary
+values, exact where A = 0 and an O(|A|) approximation otherwise.  Psi^{-1}
+is solved only as tightly as Newton needs (ETA times its residual; inexact
+Newton), and once more to PSI_TOL at the converged disc.  Each Psi^{-1}
+fixed point starts from the correction h - f of the solve before it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -53,9 +54,6 @@ SEED_PSI_TOL = 1e-6         # Psi^{-1} tolerance of the seed's first solve
 
 # the parameter of each probe_disc center condition: Re, Im of c0, d0, c1, d1
 PROBE_ROWS = np.array([0, 1, 4, 5, 2, 3, 6, 7])
-
-# read-only (zeta powers, boundary basis), one per grid shape and solve order
-_SOLVE_OPERATORS = {}
 
 
 # --- surface patches and complex-point models ---------------------------------
@@ -429,11 +427,6 @@ class PinSet:
     tangent_basis: np.ndarray   # (4, 2) basis of T S^2 at the pin point
 
 
-def _coeffs_to_vals(coeffs, zpow):
-    """(..., 2, N+1) complex coefficients to stacked values (..., 2, R, T)."""
-    return np.einsum("...cn,nrt->...crt", coeffs, zpow)
-
-
 def _pack(coeffs):
     n = coeffs.shape[-1]
     out = np.empty(coeffs.shape[:-2] + (4 * n,))
@@ -472,41 +465,27 @@ def _residual_rows(surface: SurfacePatch, pins: PinSet, grid: DiscGrid, bdry):
     boundary sample, then the 4 pin rows of `pins`."""
     pts = to_real(np.moveaxis(bdry, -2, -1))   # (..., T, 4)
     rho = surface.rho_pair(pts)                # (..., T, 2)
-    pin_phase = np.exp(1j * np.outer(PIN_THETA, grid.modes)) / grid.n_theta
-    F = np.fft.fft(bdry, axis=-1)
-    at_pins = np.einsum("pm,...cm->...pc", pin_phase, F)  # (..., 2 pins, 2)
-    p_pts = to_real(at_pins)                   # (..., 2, 4)
+    at_pins = grid.boundary_at(bdry, PIN_THETA)   # (..., 2, 2 pins)
     f1 = pts[..., 0, :]                        # theta = 0 is a grid node
     g12 = np.einsum("...i,ik->...k", f1 - pins.point, pins.tangent_basis)
-    g3 = pins.member2(p_pts[..., 0, :])
-    g4 = pins.member3(p_pts[..., 1, :])
+    g3 = pins.member2(to_real(at_pins[..., 0]))
+    g4 = pins.member3(to_real(at_pins[..., 1]))
     parts = [rho.reshape(rho.shape[:-2] + (-1,)), g12,
              g3[..., None], g4[..., None]]
     return np.concatenate(parts, axis=-1)
 
 
-def _boundary_basis(grid: DiscGrid, n: int):
+@functools.cache
+def _boundary_basis(n_theta: int, n: int):
     """The linear map from packed coefficients x (4n,) to the real points of
-    h at the boundary nodes and then at the two pins, shape (T + 2, 4, 4n)."""
-    theta = np.concatenate([grid.theta, PIN_THETA])
+    h at the n_theta boundary nodes and then at the two pins, shape
+    (n_theta + 2, 4, 4n); built once per grid width and order, read-only."""
+    theta = np.append(2.0 * np.pi * np.arange(n_theta) / n_theta, PIN_THETA)
     wave = np.exp(1j * np.outer(np.arange(n), theta))     # (n, T + 2)
     unit = _unpack(np.eye(4 * n), n)                      # (4n, 2, n)
     pts = to_real(np.einsum("xcn,np->xpc", unit, wave))   # (4n, T + 2, 4)
+    pts.setflags(write=False)
     return np.moveaxis(pts, 0, -1)
-
-
-def _solve_operators(grid: DiscGrid, n: int):
-    """The powers zeta^k, k < n, at the grid nodes (n, R, T) and
-    _boundary_basis(grid, n), built on first use and shared read-only by
-    every solve of the grid shape and order."""
-    key = (grid.n_theta, grid.n_rho, n)
-    if key not in _SOLVE_OPERATORS:
-        ops = (np.stack([grid.zeta ** k for k in range(n)]),
-               _boundary_basis(grid, n))
-        for a in ops:
-            a.setflags(write=False)
-        _SOLVE_OPERATORS[key] = ops
-    return _SOLVE_OPERATORS[key]
 
 
 def _jacobian(surface: SurfacePatch, pins: PinSet, basis, x):
@@ -572,13 +551,13 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
     grid = init.grid
     check_taylor_order(n_taylor, grid.n_theta, grid.n_rho)
     n = n_taylor + 1
-    zpow, basis = _solve_operators(grid, n)
+    basis = _boundary_basis(grid.n_theta, n)
 
     coeffs = np.zeros((2, n), dtype=complex)
     for c, init_c in zip(coeffs, init.h_coeffs):
         c[:min(n, len(init_c))] = init_c[:n]
     x = _pack(coeffs)
-    q = _coeffs_to_vals(coeffs, zpow) - init.values()
+    q = grid.taylor_values(coeffs) - init.values()
     sweeps = solves = 0
     loose = False           # the last solve swept to a tolerance above PSI_TOL
 
@@ -586,7 +565,7 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
         """Residual rows and their sup norm at f = Psi^{-1}(h) solved to tol,
         and f."""
         nonlocal q, sweeps, solves, loose
-        vals = _coeffs_to_vals(_unpack(xb, n), zpow)
+        vals = grid.taylor_values(_unpack(xb, n))
         f, s = psi_inverse_values(chart, grid, vals, start=vals - q, tol=tol)
         q, sweeps, solves = vals - f, sweeps + s, solves + 1
         loose = s > 0 and tol > PSI_TOL

@@ -4,7 +4,9 @@ Fields live on a polar tensor grid: equispaced angles (FFT-friendly) times
 Gauss-Legendre radial nodes mapped to (0,1), plus the boundary circle rho = 1
 kept as a distinguished ring.  The dbar operator, the Cauchy-Green transform T
 (the area-integral right inverse of dbar), the Schwarz integral, circle
-conjugation and winding numbers all act in this representation.
+conjugation and winding numbers all act in this representation.  Taylor
+series are sampled by one inverse FFT (DiscGrid.taylor_values), and boundary
+rings are interpolated off the nodes by one Fourier sum (DiscGrid.boundary_at).
 
 T is applied mode-by-mode in the angular Fourier basis.  For a single mode
 f_m(s) e^{i m theta} the transform has angular dependence e^{i(m-1) theta} and
@@ -126,6 +128,27 @@ class DiscGrid:
     @property
     def n_radial(self):
         return self.n_rho + 1
+
+    def taylor_values(self, coeffs):
+        """Holomorphic fields sum_k c_k zeta^k of coefficients (..., N) at the
+        nodes, shape (..., R, n_theta): c_k rho^k lands on angular mode
+        k mod n_theta, then one inverse FFT."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        n, size = self.n_theta, coeffs.shape[-1]
+        shape = coeffs.shape[:-1] + (self.n_radial, -(-size // n) * n)
+        modes = np.zeros(shape, dtype=complex)
+        modes[..., :size] = coeffs[..., None, :] \
+            * self.rho[:, None] ** np.arange(size)
+        modes = modes.reshape(shape[:-1] + (-1, n)).sum(axis=-2)
+        return n * np.fft.ifft(modes, axis=-1)
+
+    def boundary_at(self, ring, theta):
+        """Trigonometric interpolation of rings (..., n_theta) at angles
+        theta, shape (..., len(theta))."""
+        F = np.fft.fft(ring, axis=-1) / self.n_theta
+        ph = np.exp(1j * np.outer(theta, self.modes))
+        # a matrix-vector product per ring: values independent of the batch
+        return (ph @ F[..., None])[..., 0]
 
     # -- Cauchy-Green mode matrices -------------------------------------------
 
@@ -271,14 +294,8 @@ class DiscField:
 
     @classmethod
     def from_taylor(cls, grid, coeffs):
-        """Holomorphic field sum_k c_k zeta^k sampled on the grid: c_k rho^k
-        lands on angular mode k mod n_theta, then one inverse FFT."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        n, size = grid.n_theta, len(coeffs)
-        modes = np.zeros((grid.n_radial, -(-size // n) * n), dtype=complex)
-        modes[:, :size] = coeffs * grid.rho[:, None] ** np.arange(size)
-        modes = modes.reshape(grid.n_radial, -1, n).sum(axis=1)
-        return cls(grid, n * np.fft.ifft(modes, axis=-1))
+        """Holomorphic field sum_k c_k zeta^k sampled on the grid."""
+        return cls(grid, grid.taylor_values(coeffs))
 
     @property
     def boundary_values(self):
@@ -286,10 +303,7 @@ class DiscField:
 
     def eval_boundary(self, theta):
         """Trigonometric interpolation of the boundary ring at angles theta."""
-        F = np.fft.fft(self.boundary_values) / self.grid.n_theta
-        theta = np.asarray(theta, dtype=float)
-        ph = np.exp(1j * np.outer(theta, self.grid.modes))
-        return ph @ F
+        return self.grid.boundary_at(self.boundary_values, theta)
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
@@ -388,22 +402,16 @@ def cauchy_green(f: DiscField) -> DiscField:
 
 
 def schwarz(g: BoundaryField, grid: DiscGrid | None = None) -> DiscField:
-    """Holomorphic field whose boundary real part equals g (Schwarz integral).
-
-    The free additive constant is fixed by Im(result(0)) = 0.
-    """
+    """Holomorphic field whose boundary real part equals g (Schwarz integral):
+    the series g_0 + 2 sum_{k >= 1} g_k zeta^k, its free additive constant
+    fixed by Im(result(0)) = 0."""
     g.require_real("schwarz input")
     if grid is None:
         grid = DiscGrid(g.n_theta, DEFAULT_N_RHO)
     if grid.n_theta != g.n_theta:
         raise ValueError("grid angular resolution does not match boundary field")
-    half = g.n_theta // 2
-    vals = np.full((grid.n_radial, grid.n_theta), g.coeff(0), dtype=complex)
-    ph = np.exp(1j * np.outer(grid.theta, np.arange(1, half + 1)))  # (nt, half)
-    radial = grid.rho[:, None] ** np.arange(1, half + 1)[None, :]   # (R, half)
-    c = 2.0 * g.coeffs[half + 1:]
-    vals += np.einsum("rk,tk->rt", radial * c[None, :], ph)
-    return DiscField(grid, vals)
+    tail = 2.0 * g.coeffs[g.n_theta // 2 + 1:]
+    return DiscField.from_taylor(grid, np.concatenate([[g.coeff(0)], tail]))
 
 
 def conjugate(g: BoundaryField) -> BoundaryField:

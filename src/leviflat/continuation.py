@@ -313,7 +313,7 @@ def _lagrange_seed(discs, t) -> BishopDisc:
 
 def continue_family(scenario, leaves, t_start, t_stop, grid=None,
                     n_taylor=DEFAULT_N_TAYLOR, newton_tol=1e-10,
-                    grad_cap=None, side="p") -> DiscFamily:
+                    grad_cap=1000.0, side="p") -> DiscFamily:
     """March the pinned Bishop family from t_start to t_stop (snapped exactly).
 
     Predictor: the first solve of a branch starts from the flat-circle
@@ -325,8 +325,7 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
     DiscFamily.rejected.
     Underresolved (the Taylor ansatz floor) is not a failure that a smaller
     step mends and ends the branch.
-    BlowUp is raised when the disc gradient exceeds grad_cap, or by default
-    1000 times its initial value.
+    BlowUp is raised when the disc gradient sup |d_zeta f| exceeds grad_cap.
     """
     if grid is None:
         grid = DiscGrid()
@@ -335,7 +334,6 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
     t = float(t_start)
     guess = _initial_guess(scenario, leaves, t, grid, n_taylor)
     discs, t_values, monitors, rejected = [], [], [], []
-    grad_ref = None
 
     def solve_at(t_target, seed):
         pins = make_pinset(scenario, leaves, t_target)
@@ -346,11 +344,7 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
     disc = solve_at(t, guess)
     while True:
         m = monitor(disc, scenario, leaves)
-        if grad_ref is None:
-            grad_ref = m["max_grad"]
-        cap = grad_cap if grad_cap is not None \
-            else 1e3 * max(grad_ref, 1e-12)
-        if m["max_grad"] > cap:
+        if m["max_grad"] > grad_cap:
             raise BlowUp(m["max_grad"], disc.t)
         discs.append(disc)
         t_values.append(disc.t)

@@ -101,7 +101,7 @@ def disc_to_dict(disc):
     }
 
 
-def family_to_dict(result, scenario_name, resolution, extra=None):
+def family_to_dict(result, scenario_name, resolution):
     return {
         "scenario": scenario_name,
         "resolution": {"n_theta": int(resolution[0]),
@@ -112,7 +112,6 @@ def family_to_dict(result, scenario_name, resolution, extra=None):
         "n_discs": len(result.discs),
         "t_values": np.asarray(result.t_values, dtype=float),
         "discs": [disc_to_dict(d) for d in result.discs],
-        **(extra or {}),
     }
 
 

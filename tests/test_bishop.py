@@ -356,14 +356,13 @@ def full_jacobian_solve(sc, init, pins, n_taylor, newton_tol=1e-10,
     for bishop_solve, which differences the rows at the boundary of h."""
     chart, grid = sc.chart, init.grid
     n = n_taylor + 1
-    zpow = np.stack([grid.zeta ** k for k in range(n)])
     coeffs = np.zeros((2, n), dtype=complex)
     for c, init_c in zip(coeffs, init.h_coeffs):
         c[:min(n, len(init_c))] = init_c[:n]
     x = B._pack(coeffs)
 
     def residual(xb):
-        vals = B._coeffs_to_vals(B._unpack(xb, n), zpow)
+        vals = grid.taylor_values(B._unpack(xb, n))
         f, _ = B.psi_inverse_values(chart, grid, vals)
         return B._residual_rows(sc.surface, pins, grid, f[..., -1, :])
 
@@ -448,10 +447,8 @@ class TestStandardStructureJacobian:
 
 def fd_jacobian(sc, pins, grid, n, x, step=1e-6):
     """Forward difference of _residual_rows at the boundary of h."""
-    zpow = np.stack([grid.zeta[-1] ** k for k in range(n)])[:, None, :]
-
     def rows(xb):
-        bdry = B._coeffs_to_vals(B._unpack(xb, n), zpow)[..., -1, :]
+        bdry = grid.taylor_values(B._unpack(xb, n))[..., -1, :]
         return B._residual_rows(sc.surface, pins, grid, bdry)
 
     steps = step * np.maximum(1.0, np.abs(x))
@@ -480,10 +477,18 @@ class TestExactJacobian:
         # off the solution, with every coefficient in play
         rng = np.random.default_rng(0)
         x = B._pack(coeffs) + 0.01 * rng.standard_normal(4 * n)
-        exact = B._jacobian(sc.surface, pins, B._boundary_basis(grid, n), x)
+        basis = B._boundary_basis(grid.n_theta, n)
+        exact = B._jacobian(sc.surface, pins, basis, x)
         fd = fd_jacobian(sc, pins, grid, n, x)
         assert exact.shape == fd.shape == (2 * grid.n_theta + 4, 4 * n)
         assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_basis_shared_read_only(self):
+        basis = B._boundary_basis(32, 13)
+        assert B._boundary_basis(32, 13) is basis
+        assert basis.shape == (32 + 2, 4, 4 * 13)
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 1.0
 
     def test_rows_never_batched(self, monkeypatch):
         sc = make_scenario("perturbed-ball", eps=0.05)

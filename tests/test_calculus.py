@@ -281,6 +281,60 @@ class TestWinding:
                              - np.exp(1j * (2 * th + 0.3)))) < 1e-12
 
 
+def schwarz_einsum(g, grid):
+    """schwarz as a radial x phase einsum over the modes 1 .. n_theta/2."""
+    half = g.n_theta // 2
+    vals = np.full((grid.n_radial, grid.n_theta), g.coeff(0), dtype=complex)
+    ph = np.exp(1j * np.outer(grid.theta, np.arange(1, half + 1)))
+    radial = grid.rho[:, None] ** np.arange(1, half + 1)[None, :]
+    c = 2.0 * g.coeffs[half + 1:]
+    return vals + np.einsum("rk,tk->rt", radial * c[None, :], ph)
+
+
+class TestSynthesis:
+    """One Taylor synthesis (taylor_values) and one boundary interpolation
+    (boundary_at) serve every field of the package."""
+
+    def coeffs(self, shape, seed=4):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("lead", [(2,), (3, 2)])
+    @pytest.mark.parametrize("size", [13, 70])   # 70 > n_theta folds
+    def test_batches_match_from_taylor(self, grid, lead, size):
+        c = self.coeffs(lead + (size,))
+        vals = grid.taylor_values(c)
+        assert vals.shape == lead + (grid.n_radial, grid.n_theta)
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(vals[idx],
+                                  DiscField.from_taylor(grid, c[idx]).values)
+
+    @pytest.mark.parametrize("size", [13, 70, 150])
+    def test_matches_direct_sum(self, grid, size):
+        c = self.coeffs(size) / (1.0 + np.arange(size))
+        ref = sum(ck * grid.zeta ** k for k, ck in enumerate(c))
+        assert np.max(np.abs(grid.taylor_values(c) - ref)) <= 1e-13
+
+    def test_schwarz_matches_einsum(self, grid):
+        g = BoundaryField.from_function(
+            grid.n_theta, lambda th: np.exp(np.cos(th))
+            + np.sin(2 * th) / (1.5 - np.cos(th)))
+        ref = schwarz_einsum(g, grid)
+        assert np.max(np.abs(schwarz(g, grid).values - ref)) <= 1e-14
+
+    def test_boundary_at(self, grid):
+        rings = self.coeffs((3, 2, grid.n_theta)) / grid.n_theta
+        th = np.array([0.0, 0.3, 2.0 * np.pi / 3.0, -1.7])
+        out = grid.boundary_at(rings, th)
+        assert out.shape == (3, 2, len(th))
+        F = np.fft.fft(rings, axis=-1) / grid.n_theta
+        ref = sum(F[..., j, None] * np.exp(1j * m * th)
+                  for j, m in enumerate(grid.modes))
+        assert np.max(np.abs(out - ref)) <= 1e-14
+        field = DiscField(grid, np.tile(rings[1, 0], (grid.n_radial, 1)))
+        assert np.array_equal(field.eval_boundary(th), out[1, 0])
+
+
 class TestDiscField:
     def test_from_taylor_boundary_eval(self, grid):
         f = DiscField.from_taylor(grid, [1.0, 0.5j, 0.25])

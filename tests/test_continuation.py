@@ -17,6 +17,7 @@ from leviflat.errors import (
     NewtonStalled,
     NoMatch,
     Underresolved,
+    WindingChanged,
 )
 from leviflat.scenarios import make_scenario
 
@@ -372,6 +373,32 @@ class TestRejectedSteps:
             C.continue_family(ball, leaves, 0.30, 0.36,
                               grid=DiscGrid(32, 16), n_taylor=12)
         assert calls() == 2
+
+
+class TestWindingChanged:
+    """A disc of winding mu != 0 is refused; no smaller step mends it."""
+
+    def test_solver_refuses_it(self, ball, leaves, monkeypatch):
+        monkeypatch.setattr(C, "maslov_index", lambda disc, surface: 1)
+        grid = DiscGrid(32, 16)
+        with pytest.raises(WindingChanged, match="mu = 1"):
+            B.bishop_solve(ball, ball.surface,
+                           C._initial_guess(ball, leaves, 0.3, grid, 12),
+                           C.make_pinset(ball, leaves, 0.3), n_taylor=12)
+
+    def test_continuation_propagates_it(self, ball, leaves, monkeypatch):
+        calls = 0
+
+        def winding(disc, surface):     # the first disc is fine
+            nonlocal calls
+            calls += 1
+            return 0 if calls == 1 else 1
+
+        monkeypatch.setattr(C, "maslov_index", winding)
+        with pytest.raises(WindingChanged):
+            C.continue_family(ball, leaves, 0.30, 0.36,
+                              grid=DiscGrid(32, 16), n_taylor=12)
+        assert calls == 2               # no halved retry
 
 
 def disc_at(grid, h_coeffs, q, t):

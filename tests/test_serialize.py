@@ -217,11 +217,5 @@ class TestResultDicts:
         assert d["n_discs"] == 1
         # and the dict serializes without hitting the non-finite guard
         json.loads(S.dumps(d))
-
-    def test_family_to_dict_extra_fields(self):
-        result = SimpleNamespace(
-            discs=[], t_values=np.array([]), junction_t=0.5,
-            glue_distance=1e-12)
-        d = S.family_to_dict(result, "demo", (64, 32), extra={"note": "x"})
-        assert d["note"] == "x"
-        assert d["junction_t"] == 0.5
+        result.junction_t = 0.5
+        assert S.family_to_dict(result, "demo", (64, 32))["junction_t"] == 0.5

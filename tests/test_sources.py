@@ -1,11 +1,12 @@
 """Every module of the package compiles without warnings, every
-module-level function and class is reached from the package, a demo or an
-acceptance criterion, every class field is read somewhere, no module of
-the package or the tests imports a name it does not use, no function
-assigns a name it never reads, and every function the benchmark traces
-still exists.  The package imports nothing beyond the standard library and
-numpy, declares numpy as its one dependency, and loads no scipy module
-while building its operators or its model discs."""
+module-level function and class, and every method and property of a
+class, is reached from the package, a demo or an acceptance criterion,
+every class field is read somewhere, no module of the package or the
+tests imports a name it does not use, no function assigns a name it never
+reads, and every function the benchmark traces still exists.  The package
+imports nothing beyond the standard library and numpy, declares numpy as
+its one dependency, and loads no scipy module while building its
+operators or its model discs."""
 
 import ast
 import importlib.util
@@ -48,15 +49,28 @@ def referenced_names(paths):
     return names
 
 
+def definitions(tree):
+    """(name, node) of each module-level function and class, and of each
+    method and property of a class, dunders left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                (f"{node.name}.{item.name}", item) for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not (item.name.startswith("__")
+                         and item.name.endswith("__")))
+
+
 def test_no_unreached_definitions():
     used = referenced_names(SOURCES + DEMOS
                             + [ROOT / "tests" / "test_acceptance.py"])
     unreached = [
-        f"{path.name}:{node.name}"
+        f"{path.name}:{name}"
         for path in SOURCES
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in used | EXEMPT]
+        for name, node in definitions(ast.parse(path.read_text()))
+        if node.name not in used | EXEMPT]
     assert unreached == []
 
 
