@@ -31,7 +31,7 @@ print(f"\n{'r':>6s} {'boundary res':>14s} {'winding':>8s} {'area':>10s}")
 r_values = np.linspace(0.1, 1.0, 7)
 for disc in B.model_family(gamma, r_values, grid):
     mu = C.maslov_index(disc, sc.surface)
-    area = G.disc_area(disc.f, sc.chart.omega)
+    area = G.disc_area(disc.grid, disc.f, sc.chart.omega)
     print(f"{disc.t:6.2f} {disc.diagnostics['boundary_residual']:14.2e} "
           f"{mu:8d} {area:10.6f}")
 

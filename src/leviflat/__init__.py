@@ -2,13 +2,10 @@
 
 from . import bishop, continuation, errors, geometry, rh, scenarios, serialize
 from .calculus import (
-    BoundaryField,
     DiscField,
     DiscGrid,
     cauchy_green,
-    conjugate,
     dbar,
-    dz,
     schwarz,
     winding_number,
 )
@@ -21,13 +18,10 @@ __all__ = [
     "rh",
     "scenarios",
     "serialize",
-    "BoundaryField",
     "DiscField",
     "DiscGrid",
     "cauchy_green",
-    "conjugate",
     "dbar",
-    "dz",
     "schwarz",
     "winding_number",
 ]

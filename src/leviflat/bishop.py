@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calculus import DiscField, DiscGrid
+from .calculus import DiscGrid
 from .errors import (
     AdaptationFailure,
     ConfigError,
@@ -240,22 +240,22 @@ def ellipse_map(gamma: float, r: float):
 class BishopDisc:
     """A J-holomorphic disc attached to the sphere along its boundary."""
 
-    f: tuple                 # pair of DiscField components (z1, z2)
+    grid: DiscGrid
+    f: np.ndarray            # samples of (z1, z2), shape (2, R, n_theta)
     h_coeffs: tuple          # Taylor coefficients of the holomorphic preimage
     t: float                 # family parameter
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def grid(self):
-        return self.f[0].grid
-
-    def values(self):
-        """Complex samples, shape (2, R, n_theta)."""
-        return np.stack([self.f[0].values, self.f[1].values])
+    def __post_init__(self):
+        self.f = np.asarray(self.f, dtype=complex)
+        if self.f.shape != (2, self.grid.n_radial, self.grid.n_theta):
+            raise ValueError("disc samples do not match the grid")
+        if not np.all(np.isfinite(self.f)):
+            raise ValueError("disc samples must be finite")
 
     def points(self):
         """Real 4-vector samples at all grid nodes, shape (R, n_theta, 4)."""
-        return to_real(np.stack([self.f[0].values, self.f[1].values], axis=-1))
+        return to_real(np.moveaxis(self.f, 0, -1))
 
     def boundary_points(self):
         return self.points()[-1]
@@ -273,11 +273,11 @@ def model_family(gamma: float, r_list, grid: DiscGrid) -> list:
     out = []
     for r in r_list:
         _, coeffs = ellipse_map(gamma, float(r))
-        f1 = DiscField.from_taylor(grid, coeffs)
-        f2 = DiscField.from_taylor(grid, [complex(r)])
-        bres = float(np.max(np.abs(P(f1.boundary_values) - r)))
+        f = np.stack([grid.taylor_values(coeffs),
+                      grid.taylor_values([complex(r)])])
+        bres = float(np.max(np.abs(P(f[0, -1]) - r)))
         out.append(BishopDisc(
-            f=(f1, f2),
+            grid, f,
             h_coeffs=(coeffs, np.array([complex(r)])),
             t=float(r),
             diagnostics={"boundary_residual": bres, "cr_residual": 0.0}))
@@ -427,20 +427,6 @@ class PinSet:
     tangent_basis: np.ndarray   # (4, 2) basis of T S^2 at the pin point
 
 
-def _pack(coeffs):
-    n = coeffs.shape[-1]
-    out = np.empty(coeffs.shape[:-2] + (4 * n,))
-    flat = coeffs.reshape(coeffs.shape[:-2] + (2 * n,))
-    out[..., 0::2] = flat.real
-    out[..., 1::2] = flat.imag
-    return out
-
-
-def _unpack(x, n):
-    flat = x[..., 0::2] + 1j * x[..., 1::2]
-    return flat.reshape(x.shape[:-1] + (2, n))
-
-
 def taylor_limit(n_theta: int, n_rho: int) -> int:
     """The largest Taylor order an n_theta x n_rho grid holds.
 
@@ -482,7 +468,7 @@ def _boundary_basis(n_theta: int, n: int):
     (n_theta + 2, 4, 4n); built once per grid width and order, read-only."""
     theta = np.append(2.0 * np.pi * np.arange(n_theta) / n_theta, PIN_THETA)
     wave = np.exp(1j * np.outer(np.arange(n), theta))     # (n, T + 2)
-    unit = _unpack(np.eye(4 * n), n)                      # (4n, 2, n)
+    unit = to_complex(np.eye(4 * n)).reshape(4 * n, 2, n)
     pts = to_real(np.einsum("xcn,np->xpc", unit, wave))   # (4n, T + 2, 4)
     pts.setflags(write=False)
     return np.moveaxis(pts, 0, -1)
@@ -556,8 +542,8 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
     coeffs = np.zeros((2, n), dtype=complex)
     for c, init_c in zip(coeffs, init.h_coeffs):
         c[:min(n, len(init_c))] = init_c[:n]
-    x = _pack(coeffs)
-    q = grid.taylor_values(coeffs) - init.values()
+    x = to_real(coeffs.reshape(-1))        # (Re, Im) of each coefficient
+    q = grid.taylor_values(coeffs) - init.f
     sweeps = solves = 0
     loose = False           # the last solve swept to a tolerance above PSI_TOL
 
@@ -565,7 +551,7 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
         """Residual rows and their sup norm at f = Psi^{-1}(h) solved to tol,
         and f."""
         nonlocal q, sweeps, solves, loose
-        vals = grid.taylor_values(_unpack(xb, n))
+        vals = grid.taylor_values(to_complex(xb).reshape(2, n))
         f, s = psi_inverse_values(chart, grid, vals, start=vals - q, tol=tol)
         q, sweeps, solves = vals - f, sweeps + s, solves + 1
         loose = s > 0 and tol > PSI_TOL
@@ -621,8 +607,8 @@ def bishop_solve(scenario, surface: SurfacePatch, init: BishopDisc,
     bres = float(np.max(np.abs(
         surface.rho_pair(to_real(np.moveaxis(f0[..., -1, :], -2, -1))))))
     disc = BishopDisc(
-        f=(DiscField(grid, f0[0]), DiscField(grid, f0[1])),
-        h_coeffs=tuple(_unpack(x, n)),
+        grid, f0,
+        h_coeffs=tuple(to_complex(x).reshape(2, n)),
         t=init.t,
         diagnostics={"newton_iters": iters, "psi_sweeps": sweeps,
                      "psi_solves": solves, "boundary_residual": bres,

@@ -2,9 +2,10 @@ r"""Spectral function calculus on the closed unit disc.
 
 Fields live on a polar tensor grid: equispaced angles (FFT-friendly) times
 Gauss-Legendre radial nodes mapped to (0,1), plus the boundary circle rho = 1
-kept as a distinguished ring.  The dbar operator, the Cauchy-Green transform T
-(the area-integral right inverse of dbar), the Schwarz integral, circle
-conjugation and winding numbers all act in this representation.  Taylor
+kept as a distinguished ring.  The dbar operator and the Cauchy-Green
+transform T (the area-integral right inverse of dbar) act in this
+representation; a function on the circle is its n_theta samples at
+DiscGrid.theta, which the Schwarz integral and winding numbers take.  Taylor
 series are sampled by one inverse FFT (DiscGrid.taylor_values), and boundary
 rings are interpolated off the nodes by one Fourier sum (DiscGrid.boundary_at).
 
@@ -29,7 +30,7 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .errors import ConfigError, NotReal, Underresolved, ZeroOnCircle
 
 DEFAULT_N_THETA = 64
 DEFAULT_N_RHO = 32
+REAL_TOL = 1e-12     # largest |Im| of samples a real circle function may carry
 
 _MODE_DECAY_TOL = 1e-6
 
@@ -301,10 +303,6 @@ class DiscField:
     def boundary_values(self):
         return self.values[-1, :]
 
-    def eval_boundary(self, theta):
-        """Trigonometric interpolation of the boundary ring at angles theta."""
-        return self.grid.boundary_at(self.boundary_values, theta)
-
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
 
@@ -315,68 +313,6 @@ class DiscField:
     def __sub__(self, other):
         other = other.values if isinstance(other, DiscField) else other
         return DiscField(self.grid, self.values - other)
-
-    def __mul__(self, other):
-        other = other.values if isinstance(other, DiscField) else other
-        return DiscField(self.grid, self.values * other)
-
-    __rmul__ = __mul__
-
-
-@dataclass
-class BoundaryField:
-    """Function on the unit circle stored as Fourier coefficients g_n, |n| <= n_theta/2."""
-
-    n_theta: int
-    coeffs: np.ndarray = field(repr=False)  # index n + n_theta//2, n in [-N/2, N/2]
-
-    REAL_TOL = 1e-12
-
-    @classmethod
-    def from_samples(cls, samples):
-        samples = np.asarray(samples, dtype=complex)
-        n = len(samples)
-        F = np.fft.fft(samples) / n
-        half = n // 2
-        # FFT order is modes 0..half-1, then -half..-1; the Nyquist mode
-        # -half is split evenly between n = -half and n = +half
-        coeffs = np.empty(n + 1, dtype=complex)
-        coeffs[half:] = F[:half + 1]
-        coeffs[:half] = F[half:]
-        coeffs[0] /= 2.0
-        coeffs[-1] /= 2.0
-        return cls(n, coeffs)
-
-    @classmethod
-    def from_function(cls, n_theta, fn):
-        theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        return cls.from_samples(fn(theta))
-
-    @property
-    def mode_numbers(self):
-        half = self.n_theta // 2
-        return np.arange(-half, half + 1)
-
-    def coeff(self, n):
-        return self.coeffs[n + self.n_theta // 2]
-
-    def samples(self):
-        """Values on the equispaced grid: the inverse of from_samples."""
-        n, half = self.n_theta, self.n_theta // 2
-        F = np.zeros(n, dtype=complex)
-        modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        F[modes == -half] = self.coeffs[0] + self.coeffs[-1]
-        pos = modes != -half
-        F[pos] = self.coeffs[modes[pos] + half]
-        return np.fft.ifft(F * n)
-
-    def is_real(self):
-        flipped = np.conj(self.coeffs[::-1])
-        return float(np.max(np.abs(self.coeffs - flipped))) <= self.REAL_TOL
-
-    def require_real(self, what="boundary field"):
-        if not self.is_real():
-            raise NotReal(f"{what} is not real-valued on the circle")
 
 
 # --- operators ---------------------------------------------------------------
@@ -391,40 +327,38 @@ def dbar(f: DiscField) -> DiscField:
     return DiscField(f.grid, f.grid.dbar_apply(f.values))
 
 
-def dz(f: DiscField) -> DiscField:
-    """The holomorphic derivative d/d(zeta) of a sampled disc field."""
-    return DiscField(f.grid, f.grid.dz_apply(f.values))
-
-
 def cauchy_green(f: DiscField) -> DiscField:
     """Cauchy-Green transform Tf, the right inverse of dbar on the disc."""
     return DiscField(f.grid, f.grid.cg_apply(f.values))
 
 
-def schwarz(g: BoundaryField, grid: DiscGrid | None = None) -> DiscField:
-    """Holomorphic field whose boundary real part equals g (Schwarz integral):
-    the series g_0 + 2 sum_{k >= 1} g_k zeta^k, its free additive constant
-    fixed by Im(result(0)) = 0."""
-    g.require_real("schwarz input")
+def require_real(samples, what):
+    """NotReal where any |Im| of the circle samples exceeds REAL_TOL."""
+    if np.max(np.abs(np.imag(samples))) > REAL_TOL:
+        raise NotReal(f"{what} is not real-valued on the circle")
+
+
+def schwarz(g, grid: DiscGrid | None = None) -> DiscField:
+    """Holomorphic field whose boundary real part equals the real samples g
+    at the angles grid.theta (Schwarz integral): with F = fft(g)/n the series
+    F_0 + 2 sum_{0 < k < n/2} F_k zeta^k + F_{n/2} zeta^{n/2}, its free
+    additive constant fixed by Im(result(0)) = 0."""
+    g = np.asarray(g)
+    require_real(g, "schwarz input")
+    n = len(g)
     if grid is None:
-        grid = DiscGrid(g.n_theta, DEFAULT_N_RHO)
-    if grid.n_theta != g.n_theta:
-        raise ValueError("grid angular resolution does not match boundary field")
-    tail = 2.0 * g.coeffs[g.n_theta // 2 + 1:]
-    return DiscField.from_taylor(grid, np.concatenate([[g.coeff(0)], tail]))
+        grid = DiscGrid(n, DEFAULT_N_RHO)
+    if grid.n_theta != n:
+        raise ValueError("grid angular resolution does not match the samples")
+    coeffs = np.fft.fft(g)[:n // 2 + 1] / n
+    coeffs[1:n // 2] *= 2.0
+    return DiscField.from_taylor(grid, coeffs)
 
 
-def conjugate(g: BoundaryField) -> BoundaryField:
-    """Circle conjugation operator: Fourier multiplier -i sgn(n), zero mode to 0."""
-    g.require_real("conjugation input")
-    n = g.mode_numbers
-    mult = -1j * np.sign(n)
-    return BoundaryField(g.n_theta, mult * g.coeffs)
-
-
-def winding_number(g: BoundaryField | np.ndarray) -> int:
-    """Winding number of a nowhere-zero complex function on the circle."""
-    samples = g.samples() if isinstance(g, BoundaryField) else np.asarray(g)
+def winding_number(samples) -> int:
+    """Winding number of a nowhere-zero complex function on the circle,
+    given by its samples."""
+    samples = np.asarray(samples)
     mags = np.abs(samples)
     if mags.min() <= 1e-8:
         raise ZeroOnCircle(f"min |g| = {mags.min():.3e} on circle samples")

@@ -326,11 +326,8 @@ def run_check(quiet=False) -> int:
     err = (dbar(cauchy_green(f)) - f).sup_norm()
     record("cauchy_green right inverse", err <= 1e-6, f"err={err:.3e}")
 
-    from .calculus import BoundaryField
     from .rh import RHProblem, solve_rh
-    lam = BoundaryField.from_samples(np.ones(64, dtype=complex))
-    g = BoundaryField.from_function(64, np.cos)
-    fam = solve_rh(RHProblem(grid=grid, lam=lam, g=g))
+    fam = solve_rh(RHProblem(grid=grid, lam=np.ones(64), g=np.cos(grid.theta)))
     w_err = float(np.max(np.abs(fam.particular.values - grid.zeta)))
     record("rh regression w = zeta", w_err <= 1e-8, f"err={w_err:.3e}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bishop import BishopDisc, DEFAULT_N_TAYLOR, PinSet, bishop_solve
-from .calculus import DiscField, DiscGrid
+from .calculus import DiscGrid
 from .errors import (
     BlowUp,
     ComplexPointProximity,
@@ -198,9 +198,7 @@ def maslov_index(disc: BishopDisc, surface) -> int:
     turns of that line as the boundary is traversed.  Zero for every disc of
     a regular filling family.
     """
-    grid = disc.grid
-    vals = disc.values()
-    g = grid.dz_apply(vals)[..., -1, :]        # (2, T) boundary d_zeta f
+    g = disc.grid.dz_apply(disc.f)[..., -1, :]   # (2, T) boundary d_zeta f
     g = np.moveaxis(g, 0, -1)                  # (T, 2)
     norms = np.linalg.norm(g, axis=-1)
     if np.min(norms) < 1e-12:
@@ -242,11 +240,10 @@ def leaf_crossings(disc: BishopDisc, surface, leaf: CharacteristicLeaf) -> int:
 
 def monitor(disc: BishopDisc, scenario, leaves) -> dict:
     """Per-disc record; mu is the winding bishop_solve already measured."""
-    grid = disc.grid
-    max_grad = float(np.max(np.abs(grid.dz_apply(disc.values()))))
+    max_grad = float(np.max(np.abs(disc.grid.dz_apply(disc.f))))
     return {
         "mu": disc.diagnostics["mu"],
-        "area": disc_area(disc.f, scenario.chart.omega),
+        "area": disc_area(disc.grid, disc.f, scenario.chart.omega),
         "a_min": hopf_coefficient(disc, scenario.chart),
         "max_grad": max_grad,
         "boundary_leaf_crossings": leaf_crossings(disc, scenario.surface,
@@ -289,7 +286,7 @@ def _initial_guess(scenario, leaves, t, grid, n_taylor) -> BishopDisc:
     c1[1] = z1                     # boundary circle through the pin at zeta = 1
     c2 = np.array([pin[2] + 1j * pin[3]])
     return BishopDisc(
-        f=(DiscField.from_taylor(grid, c1), DiscField.from_taylor(grid, c2)),
+        grid, np.stack([grid.taylor_values(c1), grid.taylor_values(c2)]),
         h_coeffs=(c1, c2), t=float(t))
 
 
@@ -306,8 +303,8 @@ def _lagrange_seed(discs, t) -> BishopDisc:
     step = [sum(w * (d.h_coeffs[k] - c) for w, d in zip(weights, discs))
             for k, c in enumerate(last.h_coeffs)]
     return BishopDisc(
-        f=tuple(f + DiscField.from_taylor(last.grid, dc)
-                for f, dc in zip(last.f, step)),
+        last.grid,
+        last.f + np.stack([last.grid.taylor_values(dc) for dc in step]),
         h_coeffs=tuple(c + dc for c, dc in zip(last.h_coeffs, step)), t=t)
 
 
@@ -337,7 +334,7 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
 
     def solve_at(t_target, seed):
         pins = make_pinset(scenario, leaves, t_target)
-        seed = BishopDisc(f=seed.f, h_coeffs=seed.h_coeffs, t=float(t_target))
+        seed = BishopDisc(seed.grid, seed.f, seed.h_coeffs, float(t_target))
         return bishop_solve(scenario, scenario.surface, seed, pins,
                             n_taylor=n_taylor, newton_tol=newton_tol)
 
@@ -447,10 +444,8 @@ def glue(family_p: DiscFamily, family_q: DiscFamily, tol=1e-5) -> FillingResult:
 
 def _disc_tangents(disc: BishopDisc):
     """Real angular tangent directions of the disc at all grid nodes, (R, T, 4)."""
-    grid = disc.grid
-    vals = disc.values()
-    dth = np.stack([grid._dtheta_drho(vals[k])[0] for k in range(2)], axis=-1)
-    return to_real(dth)
+    dth, _ = disc.grid._dtheta_drho(disc.f)
+    return to_real(np.moveaxis(dth, 0, -1))
 
 
 def _quadratic_terms(x):

@@ -251,14 +251,12 @@ def df_exhaustion(chart: AmbientChart, A: float, eta: float):
 # --- symplectic areas ---------------------------------------------------------
 
 
-def disc_area(disc, omega=STANDARD_OMEGA):
-    """Integral of the pullback of omega over a disc (pair of DiscFields)."""
-    f1, f2 = disc
-    grid = f1.grid
-    dth1, drh1 = grid._dtheta_drho(f1.values)
-    dth2, drh2 = grid._dtheta_drho(f2.values)
-    u = to_real(np.stack([drh1, drh2], axis=-1))   # (R, nt, 4)
-    v = to_real(np.stack([dth1, dth2], axis=-1))
+def disc_area(grid, f, omega=STANDARD_OMEGA):
+    """Integral of the pullback of omega over a disc, f the samples of
+    (z1, z2) on grid, shape (2, R, n_theta)."""
+    dth, drh = grid._dtheta_drho(f)
+    u = to_real(np.moveaxis(drh, 0, -1))   # (R, nt, 4)
+    v = to_real(np.moveaxis(dth, 0, -1))
     integrand = np.einsum("...i,...ij,...j->...", u,
                           np.broadcast_to(omega, u.shape + (4,)), v)
     # area weights carry a rho factor; the pullback integrand needs d rho d theta

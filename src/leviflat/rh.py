@@ -6,6 +6,7 @@ nonnegative winding number (the index kappa).  Factoring
 lambda = e^{i kappa theta} lambda_0 with lambda_0 of winding zero, the
 canonical function X = exp(i Schwarz(arg lambda_0)) makes conj(lambda_0) X
 positive on the circle, which turns the condition into a Schwarz problem.
+lambda and g are their n_theta samples at the angles DiscGrid.theta.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (
-    BoundaryField,
     DiscField,
     DiscGrid,
     continuous_argument,
+    require_real,
     schwarz,
     winding_number,
 )
@@ -31,21 +32,24 @@ from .errors import (
 
 @dataclass
 class RHProblem:
-    """dbar w = 0 on D, Re(conj(lambda) w) = g on the circle."""
+    """dbar w = 0 on D, Re(conj(lambda) w) = g on the circle; lam and g are
+    samples at grid.theta, lam normalized to |lambda| = 1."""
 
     grid: DiscGrid
-    lam: BoundaryField
-    g: BoundaryField
+    lam: np.ndarray
+    g: np.ndarray
     kappa: int = field(init=False)
 
     def __post_init__(self):
-        samples = self.lam.samples()
-        mags = np.abs(samples)
+        n = self.grid.n_theta
+        if len(self.lam) != n or len(self.g) != n:
+            raise ValueError(f"lam and g must be {n} samples at grid.theta")
+        mags = np.abs(self.lam)
         if mags.min() < 1e-8:
             raise ValueError("lambda must be nowhere zero on circle samples")
-        # normalize to |lambda| = 1
-        self.lam = BoundaryField.from_samples(samples / mags)
-        self.g.require_real("RH boundary data g")
+        self.lam = np.asarray(self.lam, dtype=complex) / mags
+        require_real(self.g, "RH boundary data g")
+        self.g = np.real(self.g)
         self.kappa = winding_number(self.lam)
 
 
@@ -62,23 +66,18 @@ class RHSolutionFamily:
         return len(self.basis)
 
 
-def canonical_function(lam: BoundaryField, grid: DiscGrid | None = None) -> DiscField:
+def canonical_function(lam, grid: DiscGrid | None = None) -> DiscField:
     """Zero-free holomorphic X with conj(lambda) X > 0 on the circle.
 
     Requires winding_number(lam) = 0; X = exp(i Schwarz(sigma)) with sigma a
-    continuous argument of lambda.
+    continuous argument of the samples lam.
     """
-    samples = lam.samples()
-    samples = samples / np.abs(samples)
-    sigma, w = continuous_argument(samples)
+    sigma, w = continuous_argument(lam)
     if w != 0:
         raise NonzeroIndex(f"canonical function needs index 0, got {w}")
-    sig_field = BoundaryField.from_samples(sigma.astype(complex))
-    sig_field.coeffs = 0.5 * (sig_field.coeffs + np.conj(sig_field.coeffs[::-1]))
     if grid is None:
-        grid = DiscGrid(lam.n_theta)
-    S = schwarz(sig_field, grid)
-    return DiscField(grid, np.exp(1j * S.values))
+        grid = DiscGrid(len(lam))
+    return DiscField(grid, np.exp(1j * schwarz(sigma, grid).values))
 
 
 def homogeneous_basis(kappa: int, grid: DiscGrid | None = None) -> list:
@@ -103,13 +102,10 @@ def homogeneous_basis(kappa: int, grid: DiscGrid | None = None) -> list:
     return out
 
 
-def _split_index(lam: BoundaryField, kappa: int, grid: DiscGrid):
+def _split_index(lam, kappa: int, grid: DiscGrid):
     """Factor lambda = e^{i kappa theta} lambda_0; returns X and conj(lam0) X."""
-    theta = 2.0 * np.pi * np.arange(lam.n_theta) / lam.n_theta
-    samples = lam.samples()
-    samples = samples / np.abs(samples)
-    lam0 = samples * np.exp(-1j * kappa * theta)
-    X = canonical_function(BoundaryField.from_samples(lam0), grid)
+    lam0 = lam * np.exp(-1j * kappa * grid.theta)
+    X = canonical_function(lam0, grid)
     P = np.real(np.conj(lam0) * X.boundary_values)
     return X, P
 
@@ -126,18 +122,16 @@ def solve_rh(problem: RHProblem) -> RHSolutionFamily:
         raise NegativeIndexUnsupported(f"index {problem.kappa} < 0")
     grid = problem.grid
     X, P = _split_index(problem.lam, problem.kappa, grid)
-    gt = BoundaryField.from_samples(
-        (np.real(problem.g.samples()) / P).astype(complex))
-    gt.coeffs = 0.5 * (gt.coeffs + np.conj(gt.coeffs[::-1]))
-    q = schwarz(gt, grid)
+    q = schwarz(problem.g / P, grid)
     w = DiscField(grid, X.values * grid.zeta ** problem.kappa * q.values)
     basis = [DiscField(grid, X.values * b_j.values)
              for b_j in homogeneous_basis(problem.kappa, grid)]
 
+    # theta = 0 is the first grid node: the boundary values there are w(1)
     b0 = basis[0]
-    denom = np.imag(b0.eval_boundary([0.0])[0])
+    denom = np.imag(b0.boundary_values[0])
     if abs(denom) < 1e-10:
         raise NoContraction("ImAtOne normalization is degenerate for this lambda")
-    coef = np.imag(w.eval_boundary([0.0])[0]) / denom
-    w = w - DiscField(grid, coef * b0.values)
+    coef = np.imag(w.boundary_values[0]) / denom
+    w = w - coef * b0.values
     return RHSolutionFamily(particular=w, basis=basis, kappa=problem.kappa)

@@ -160,9 +160,9 @@ class TestModelFamily:
     def test_round_family_exact(self, grid):
         discs = B.model_family(0.0, [0.25, 0.5, 1.0], grid)
         for disc, r in zip(discs, [0.25, 0.5, 1.0]):
-            ref = DiscField.from_taylor(grid, [0.0, np.sqrt(r)])
-            assert (disc.f[0] - ref).sup_norm() < 1e-8
-            assert abs(disc.f[1].values[0, 0] - r) < 1e-12
+            ref = grid.taylor_values([0.0, np.sqrt(r)])
+            assert np.max(np.abs(disc.f[0] - ref)) < 1e-8
+            assert abs(disc.f[1, 0, 0] - r) < 1e-12
 
     def test_boundary_residuals(self, grid):
         discs = B.model_family(0.5, np.linspace(0.2, 1.0, 5), grid)
@@ -174,12 +174,32 @@ class TestModelFamily:
         r = 0.5
         dr = 1e-5
         d0, d1 = B.model_family(0.5, [r, r + dr], grid)
-        dz2 = (d1.f[1].values - d0.f[1].values) / dr
+        dz2 = (d1.f[1] - d0.f[1]) / dr
         assert np.min(np.abs(dz2)) > 0.5
 
     def test_monotone_r_required(self, grid):
         with pytest.raises(ValueError):
             B.model_family(0.3, [0.5, 0.25], grid)
+
+
+class TestBishopDiscRecord:
+    """A disc is one (2, R, n_theta) array of finite samples on its grid."""
+
+    def f(self, grid):
+        return np.stack([grid.taylor_values([0.0, 0.5]),
+                         grid.taylor_values([0.3])])
+
+    def test_wrong_shape_rejected(self, grid):
+        with pytest.raises(ValueError, match="do not match the grid"):
+            B.BishopDisc(grid, self.f(grid)[0], h_coeffs=(), t=0.3)
+        with pytest.raises(ValueError, match="do not match the grid"):
+            B.BishopDisc(grid, self.f(grid)[:, :-1], h_coeffs=(), t=0.3)
+
+    def test_nan_sample_rejected(self, grid):
+        f = self.f(grid)
+        f[1, 3, 5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            B.BishopDisc(grid, f, h_coeffs=(), t=0.3)
 
 
 class TestPsiOperator:
@@ -359,10 +379,11 @@ def full_jacobian_solve(sc, init, pins, n_taylor, newton_tol=1e-10,
     coeffs = np.zeros((2, n), dtype=complex)
     for c, init_c in zip(coeffs, init.h_coeffs):
         c[:min(n, len(init_c))] = init_c[:n]
-    x = B._pack(coeffs)
+    x = G.to_real(coeffs.reshape(-1))
 
     def residual(xb):
-        vals = grid.taylor_values(B._unpack(xb, n))
+        vals = grid.taylor_values(
+            G.to_complex(xb).reshape(xb.shape[:-1] + (2, n)))
         f, _ = B.psi_inverse_values(chart, grid, vals)
         return B._residual_rows(sc.surface, pins, grid, f[..., -1, :])
 
@@ -384,7 +405,7 @@ def full_jacobian_solve(sc, init, pins, n_taylor, newton_tol=1e-10,
         else:
             raise AssertionError("reference Gauss-Newton stalled")
     assert best <= newton_tol
-    return B._unpack(x, n)
+    return G.to_complex(x).reshape(2, n)
 
 
 class TestStandardStructureJacobian:
@@ -435,8 +456,9 @@ class TestStandardStructureJacobian:
         c1 = init.h_coeffs[0].copy()
         c1[2] += 0.02
         c1[3] -= 0.01j
-        f1 = DiscField.from_taylor(init.grid, c1)     # q = h - f stays 0
-        seed = B.BishopDisc(f=(f1, init.f[1]), h_coeffs=(c1, init.h_coeffs[1]),
+        # q = h - f stays 0
+        f = np.stack([init.grid.taylor_values(c1), init.f[1]])
+        seed = B.BishopDisc(init.grid, f, h_coeffs=(c1, init.h_coeffs[1]),
                             t=init.t)
         disc = B.bishop_solve(sc, sc.surface, seed, pins, n_taylor=12)
         assert disc.diagnostics["newton_iters"] >= 1
@@ -448,7 +470,7 @@ class TestStandardStructureJacobian:
 def fd_jacobian(sc, pins, grid, n, x, step=1e-6):
     """Forward difference of _residual_rows at the boundary of h."""
     def rows(xb):
-        bdry = grid.taylor_values(B._unpack(xb, n))[..., -1, :]
+        bdry = grid.taylor_values(G.to_complex(xb).reshape(2, n))[..., -1, :]
         return B._residual_rows(sc.surface, pins, grid, bdry)
 
     steps = step * np.maximum(1.0, np.abs(x))
@@ -476,7 +498,7 @@ class TestExactJacobian:
             c[:len(init_c)] = init_c
         # off the solution, with every coefficient in play
         rng = np.random.default_rng(0)
-        x = B._pack(coeffs) + 0.01 * rng.standard_normal(4 * n)
+        x = G.to_real(coeffs.reshape(-1)) + 0.01 * rng.standard_normal(4 * n)
         basis = B._boundary_basis(grid.n_theta, n)
         exact = B._jacobian(sc.surface, pins, basis, x)
         fd = fd_jacobian(sc, pins, grid, n, x)
@@ -544,7 +566,7 @@ class TestInexactPsiInverse:
         exact, _ = self.family("perturbed-ball", 15, eps=0.05)
         assert np.array_equal(inexact.t_values, exact.t_values)
         for a, b in zip(inexact.discs, exact.discs):
-            assert np.max(np.abs(a.values() - b.values())) <= 1e-10
+            assert np.max(np.abs(a.f - b.f)) <= 1e-10
             assert a.diagnostics["cr_residual"] <= 1e-12
             assert a.diagnostics["psi_sweeps"] < b.diagnostics["psi_sweeps"]
 
@@ -577,7 +599,7 @@ class TestInexactPsiInverse:
         assert first_exact < len(tols) - 2       # Newton went on after it
         assert set(tols[first_exact:]) == {B.PSI_TOL}
         assert disc.diagnostics["newton_iters"] > ref.diagnostics["newton_iters"]
-        assert np.max(np.abs(disc.values() - ref.values())) <= 1e-10
+        assert np.max(np.abs(disc.f - ref.f)) <= 1e-10
 
     def test_ball_needs_no_resolve(self, monkeypatch):
         fam, tols = self.family("ball", 12, monkeypatch)
@@ -630,8 +652,7 @@ class TestBishopSolve:
         pins = C.make_pinset(sc, leaves, t)
         disc = B.bishop_solve(sc, sc.surface,
                               C._initial_guess(sc, leaves, t, grid, 24), pins)
-        f_at_one = G.to_real(np.array(
-            [f.eval_boundary(np.array([0.0]))[0] for f in disc.f]))
+        f_at_one = G.to_real(grid.boundary_at(disc.f[:, -1], [0.0])[:, 0])
         assert np.linalg.norm(f_at_one - pins.point) < 1e-9
 
     @pytest.mark.parametrize("resolution,limit", [((32, 16), 15),

@@ -9,7 +9,7 @@ import pytest
 from leviflat import bishop as B
 from leviflat import cli
 from leviflat import continuation as C
-from leviflat.calculus import DiscField, DiscGrid
+from leviflat.calculus import DiscGrid
 from leviflat.errors import (
     BlowUp,
     ComplexPointProximity,
@@ -404,15 +404,12 @@ class TestWindingChanged:
 def disc_at(grid, h_coeffs, q, t):
     """A disc record with Taylor coefficients h_coeffs and Psi correction q
     (values of h - f, one per component)."""
-    f = tuple(DiscField.from_taylor(grid, c).values - qk
-              for c, qk in zip(h_coeffs, q))
-    return B.BishopDisc(f=tuple(DiscField(grid, v) for v in f),
-                        h_coeffs=tuple(h_coeffs), t=t)
+    f = np.stack([grid.taylor_values(c) for c in h_coeffs]) - q
+    return B.BishopDisc(grid, f, h_coeffs=tuple(h_coeffs), t=t)
 
 
 def correction(grid, disc, k):
-    return DiscField.from_taylor(grid, disc.h_coeffs[k]).values \
-        - disc.f[k].values
+    return grid.taylor_values(disc.h_coeffs[k]) - disc.f[k]
 
 
 class TestLagrangePredictor:
@@ -468,7 +465,7 @@ class TestLagrangePredictor:
         assert seed.t == 0.325
         for k in range(2):
             assert np.array_equal(seed.h_coeffs[k], disc.h_coeffs[k])
-            assert np.array_equal(seed.f[k].values, disc.f[k].values)
+            assert np.array_equal(seed.f[k], disc.f[k])
 
 
 class TestGlue:

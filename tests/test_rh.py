@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from leviflat.calculus import BoundaryField, DiscField, DiscGrid, dbar
-from leviflat.errors import NegativeIndexUnsupported, NonzeroIndex
+from leviflat.calculus import DiscField, DiscGrid, dbar
+from leviflat.errors import NegativeIndexUnsupported, NonzeroIndex, NotReal
 from leviflat.rh import (
     RHProblem,
     canonical_function,
@@ -19,8 +19,8 @@ def grid():
 
 
 def boundary_residual(w, lam, g):
-    lhs = np.real(np.conj(lam.samples()) * w.boundary_values)
-    return float(np.max(np.abs(lhs - np.real(g.samples()))))
+    lhs = np.real(np.conj(lam) * w.boundary_values)
+    return float(np.max(np.abs(lhs - g)))
 
 
 def interior_residual(w):
@@ -29,23 +29,20 @@ def interior_residual(w):
 
 class TestHolomorphicProblems:
     def test_w_equals_zeta(self, grid):
-        lam = BoundaryField.from_samples(np.ones(64, dtype=complex))
-        g = BoundaryField.from_function(64, np.cos)
-        fam = solve_rh(RHProblem(grid=grid, lam=lam, g=g))
+        fam = solve_rh(RHProblem(grid=grid, lam=np.ones(64),
+                                 g=np.cos(grid.theta)))
         assert np.max(np.abs(fam.particular.values - grid.zeta)) < 1e-8
 
     @pytest.mark.parametrize("kappa,dim", [(0, 1), (1, 3), (2, 5)])
     def test_family_dimension(self, grid, kappa, dim):
-        th = 2 * np.pi * np.arange(64) / 64
-        lam = BoundaryField.from_samples(np.exp(1j * kappa * th))
-        g = BoundaryField.from_function(64, np.cos)
-        fam = solve_rh(RHProblem(grid=grid, lam=lam, g=g))
+        th = grid.theta
+        lam = np.exp(1j * kappa * th)
+        fam = solve_rh(RHProblem(grid=grid, lam=lam, g=np.cos(th)))
         assert fam.kappa == kappa
         assert fam.dimension == dim
         # every basis element solves the homogeneous boundary problem
-        zero_g = BoundaryField.from_samples(np.zeros(64, dtype=complex))
         for b in fam.basis:
-            assert boundary_residual(b, lam, zero_g) < 1e-10
+            assert boundary_residual(b, lam, 0.0) < 1e-10
             assert interior_residual(b) < 1e-7
         # linear independence via the Gram matrix of boundary samples
         M = np.stack([np.concatenate([np.real(b.values.ravel()),
@@ -55,9 +52,9 @@ class TestHolomorphicProblems:
         assert smin > 1e-6
 
     def test_particular_boundary_residual(self, grid):
-        th = 2 * np.pi * np.arange(64) / 64
-        lam = BoundaryField.from_samples(np.exp(1j * th) * (2 + np.cos(th)))
-        g = BoundaryField.from_function(64, lambda t: np.cos(2 * t) + 0.3)
+        th = grid.theta
+        lam = np.exp(1j * th) * (2 + np.cos(th))
+        g = np.cos(2 * th) + 0.3
         prob = RHProblem(grid=grid, lam=lam, g=g)
         fam = solve_rh(prob)
         assert boundary_residual(fam.particular, prob.lam, g) < 1e-8
@@ -65,10 +62,8 @@ class TestHolomorphicProblems:
 
     def test_superposition(self, grid):
         """particular + random basis combination still solves the problem."""
-        th = 2 * np.pi * np.arange(64) / 64
-        lam = BoundaryField.from_samples(np.exp(1j * th))
-        g = BoundaryField.from_function(64, lambda t: np.cos(t))
-        prob = RHProblem(grid=grid, lam=lam, g=g)
+        th = grid.theta
+        prob = RHProblem(grid=grid, lam=np.exp(1j * th), g=np.cos(th))
         fam = solve_rh(prob)
         rng = np.random.default_rng(5)
         coefs = rng.standard_normal(fam.dimension)
@@ -80,16 +75,14 @@ class TestHolomorphicProblems:
             1 + np.sum(np.abs(coefs)))
 
     def test_im_at_one_normalization(self, grid):
-        lam = BoundaryField.from_samples(np.ones(64, dtype=complex))
-        g = BoundaryField.from_function(64, lambda t: np.cos(t) + 1.0)
-        fam = solve_rh(RHProblem(grid=grid, lam=lam, g=g))
-        w1 = fam.particular.eval_boundary([0.0])[0]
+        fam = solve_rh(RHProblem(grid=grid, lam=np.ones(64),
+                                 g=np.cos(grid.theta) + 1.0))
+        w1 = grid.boundary_at(fam.particular.boundary_values, [0.0])[0]
         assert abs(np.imag(w1)) < 1e-9
 
     def test_normalized_solution_unique(self, grid):
         """Two runs with different internals give the same normalized w."""
-        lam = BoundaryField.from_samples(np.ones(64, dtype=complex))
-        g = BoundaryField.from_function(64, lambda t: np.sin(t) ** 2)
+        lam, g = np.ones(64), np.sin(grid.theta) ** 2
         f1 = solve_rh(RHProblem(grid=grid, lam=lam, g=g))
         f2 = solve_rh(RHProblem(grid=grid, lam=lam, g=g))
         assert np.max(np.abs(f1.particular.values - f2.particular.values)) \
@@ -100,7 +93,7 @@ class TestCanonicalFunction:
     def test_positivity(self):
         th = 2 * np.pi * np.arange(64) / 64
         lam0 = np.exp(1j * 0.4 * np.sin(th))
-        X = canonical_function(BoundaryField.from_samples(lam0))
+        X = canonical_function(lam0)
         P = np.conj(lam0) * X.boundary_values
         assert np.max(np.abs(np.imag(P))) < 1e-10
         assert np.min(np.real(P)) > 0
@@ -108,22 +101,21 @@ class TestCanonicalFunction:
     def test_nonzero_index_rejected(self):
         th = 2 * np.pi * np.arange(64) / 64
         with pytest.raises(NonzeroIndex):
-            canonical_function(BoundaryField.from_samples(np.exp(1j * th)))
+            canonical_function(np.exp(1j * th))
 
     def test_zero_free(self):
         th = 2 * np.pi * np.arange(64) / 64
         lam0 = np.exp(1j * 0.7 * np.cos(2 * th))
-        X = canonical_function(BoundaryField.from_samples(lam0))
+        X = canonical_function(lam0)
         assert np.min(np.abs(X.values)) > 0.1
 
 
 class TestGuards:
     def test_negative_index(self, grid):
-        th = 2 * np.pi * np.arange(64) / 64
-        lam = BoundaryField.from_samples(np.exp(-1j * th))
-        g = BoundaryField.from_function(64, np.cos)
+        th = grid.theta
         with pytest.raises(NegativeIndexUnsupported):
-            solve_rh(RHProblem(grid=grid, lam=lam, g=g))
+            solve_rh(RHProblem(grid=grid, lam=np.exp(-1j * th),
+                               g=np.cos(th)))
 
     def test_homogeneous_basis_negative_index(self):
         with pytest.raises(NegativeIndexUnsupported):
@@ -133,5 +125,13 @@ class TestGuards:
         samples = np.ones(64, dtype=complex)
         samples[5] = 0.0
         with pytest.raises(ValueError):
-            RHProblem(grid=grid, lam=BoundaryField.from_samples(samples),
-                      g=BoundaryField.from_function(64, np.cos))
+            RHProblem(grid=grid, lam=samples, g=np.cos(grid.theta))
+
+    def test_complex_g_rejected(self, grid):
+        with pytest.raises(NotReal):
+            RHProblem(grid=grid, lam=np.ones(64), g=np.exp(1j * grid.theta))
+
+    @pytest.mark.parametrize("n_lam,n_g", [(32, 64), (64, 128)])
+    def test_sample_count_must_match_grid(self, grid, n_lam, n_g):
+        with pytest.raises(ValueError, match="64 samples"):
+            RHProblem(grid=grid, lam=np.ones(n_lam), g=np.ones(n_g))
