@@ -1,14 +1,7 @@
 """Bishop discs and Levi-flat fillings of two-spheres in almost complex 4-manifolds."""
 
 from . import bishop, continuation, errors, geometry, rh, scenarios, serialize
-from .calculus import (
-    DiscField,
-    DiscGrid,
-    cauchy_green,
-    dbar,
-    schwarz,
-    winding_number,
-)
+from .calculus import DiscGrid, schwarz, winding_number
 
 __all__ = [
     "bishop",
@@ -18,10 +11,7 @@ __all__ = [
     "rh",
     "scenarios",
     "serialize",
-    "DiscField",
     "DiscGrid",
-    "cauchy_green",
-    "dbar",
     "schwarz",
     "winding_number",
 ]

@@ -67,14 +67,12 @@ class SurfacePatch:
     the surface is {rho_pair = 0}.  to_uv gives global surface coordinates
     (angle u, height v) used for leaf bookkeeping; parametrization(phi, u)
     traces the sphere by polar angle and angle, and carries the leaves as
-    graphs u(phi); area_elements gives its quadrature.  gamma is the
-    complex-point invariant when the patch is centered at one; poles is an
-    (n, 4) array of its complex points.
+    graphs u(phi); area_elements gives its quadrature; poles is an (n, 4)
+    array of its complex points.
     """
 
     rho_pair: Callable
     rho_grad: Callable
-    gamma: Optional[float] = None
     parametrization: Optional[Callable] = None
     area_elements: Optional[Callable] = None
     to_uv: Optional[Callable] = None
@@ -130,14 +128,14 @@ def validate_adapted(model: EllipticPointModel) -> dict:
     """
     chart = model.chart
     origin = np.zeros(4)
-    a0 = np.max(np.abs(chart.deformation_at(origin)))
+    a0 = np.max(np.abs(chart.A_fn(origin)))
     if a0 > 1e-10:
         raise AdaptationFailure(
             f"deformation tensor does not vanish at the center (|A| = {a0:.3e})")
 
     # first column of A restricted to {z2 = 0}: value and z1-derivatives at 0
     h = 1e-4
-    col = lambda z: chart.deformation_at(z)[..., :, 0]
+    col = lambda z: chart.A_fn(z)[..., :, 0]
     d_first = max(np.max(np.abs((col(e) - col(-e)) / (2 * h)))
                   for e in h * np.eye(4)[:2])
     if d_first > 1e-6:
@@ -290,7 +288,7 @@ def model_family(gamma: float, r_list, grid: DiscGrid) -> list:
 def _deformation_term(chart: AmbientChart, grid: DiscGrid, vals):
     """A(f) dbar(conj f) for stacked values vals, shape (..., 2, R, n_theta);
     None where A vanishes at every point of f (J = J_st there)."""
-    A = chart.deformation_at(to_real(np.moveaxis(vals, -3, -1)))
+    A = chart.A_fn(to_real(np.moveaxis(vals, -3, -1)))
     if not A.any():
         return None
     dbar_conj = np.conj(grid.dz_apply(vals))

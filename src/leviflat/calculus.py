@@ -2,12 +2,14 @@ r"""Spectral function calculus on the closed unit disc.
 
 Fields live on a polar tensor grid: equispaced angles (FFT-friendly) times
 Gauss-Legendre radial nodes mapped to (0,1), plus the boundary circle rho = 1
-kept as a distinguished ring.  The dbar operator and the Cauchy-Green
-transform T (the area-integral right inverse of dbar) act in this
-representation; a function on the circle is its n_theta samples at
-DiscGrid.theta, which the Schwarz integral and winding numbers take.  Taylor
-series are sampled by one inverse FFT (DiscGrid.taylor_values), and boundary
-rings are interpolated off the nodes by one Fourier sum (DiscGrid.boundary_at).
+kept as a distinguished ring.  A field on the disc is its samples there, an
+array (..., R, n_theta) with R = n_rho + 1; the dbar operator
+(DiscGrid.dbar_apply) and the Cauchy-Green transform T (DiscGrid.cg_apply,
+the area-integral right inverse of dbar) act on such arrays.  A function on
+the circle is its n_theta samples at DiscGrid.theta, which the Schwarz
+integral and winding numbers take.  Taylor series are sampled by one inverse
+FFT (DiscGrid.taylor_values), and boundary rings are interpolated off the
+nodes by one Fourier sum (DiscGrid.boundary_at).
 
 T is applied mode-by-mode in the angular Fourier basis.  For a single mode
 f_m(s) e^{i m theta} the transform has angular dependence e^{i(m-1) theta} and
@@ -29,8 +31,6 @@ the test suite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,14 +224,24 @@ class DiscGrid:
 
     # -- spectral derivatives --------------------------------------------------
 
-    def _dtheta_drho(self, values):
-        F = np.fft.fft(values, axis=-1)
+    def _dtheta_drho(self, values, F=None):
+        """Angular and radial derivatives; F is fft(values) if already taken."""
+        F = np.fft.fft(values, axis=-1) if F is None else F
         dth = np.fft.ifft(1j * self.modes * F, axis=-1)
         drh = self.d_rho @ values
         return dth, drh
 
     def dbar_apply(self, values):
-        dth, drh = self._dtheta_drho(values)
+        """d/d(conj zeta) of sampled fields, shape (..., R, n_theta).
+        Underresolved where the highest angular mode n_theta/2 carries more
+        than _MODE_DECAY_TOL of the fields' spectral energy."""
+        F = np.fft.fft(values, axis=-1)
+        energy = np.abs(F) ** 2
+        tail, total = np.sum(energy[..., self.n_theta // 2]), np.sum(energy)
+        if tail > _MODE_DECAY_TOL * total:
+            raise Underresolved("angular mode decay check failed (tail "
+                                f"fraction {tail / total:.3e})")
+        dth, drh = self._dtheta_drho(values, F)
         phase = np.exp(1j * self.theta)[None, :]
         inv_rho = (1.0 / self.rho)[:, None]
         return 0.5 * phase * (drh + 1j * inv_rho * dth)
@@ -241,15 +251,6 @@ class DiscGrid:
         phase = np.exp(-1j * self.theta)[None, :]
         inv_rho = (1.0 / self.rho)[:, None]
         return 0.5 * phase * (drh - 1j * inv_rho * dth)
-
-    def mode_energy_tail(self, values):
-        """Fraction of angular-spectral energy in the highest mode."""
-        F = np.fft.fft(values, axis=-1)
-        total = np.sum(np.abs(F) ** 2)
-        if total == 0.0:
-            return 0.0
-        tail = np.sum(np.abs(F[..., :, self.n_theta // 2]) ** 2)
-        return tail / total
 
     def center_value(self, values):
         """Value at zeta = 0 by radial extrapolation of the zero mode."""
@@ -276,60 +277,10 @@ class DiscGrid:
         return out[0] if np.ndim(values) == 2 else out.reshape(np.shape(values)[:-2])
 
 
-@dataclass
-class DiscField:
-    """Complex-valued function sampled on a DiscGrid (boundary ring included)."""
-
-    grid: DiscGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n_radial, self.grid.n_theta):
-            raise ValueError("field shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, fn(grid.zeta))
-
-    @classmethod
-    def from_taylor(cls, grid, coeffs):
-        """Holomorphic field sum_k c_k zeta^k sampled on the grid."""
-        return cls(grid, grid.taylor_values(coeffs))
-
-    @property
-    def boundary_values(self):
-        return self.values[-1, :]
-
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other):
-        other = other.values if isinstance(other, DiscField) else other
-        return DiscField(self.grid, self.values + other)
-
-    def __sub__(self, other):
-        other = other.values if isinstance(other, DiscField) else other
-        return DiscField(self.grid, self.values - other)
-
-
-# --- operators ---------------------------------------------------------------
-
-
-def dbar(f: DiscField) -> DiscField:
-    """The operator d/d(conj zeta) acting on a sampled disc field."""
-    tail = f.grid.mode_energy_tail(f.values)
-    if tail > _MODE_DECAY_TOL:
-        raise Underresolved(
-            f"angular mode decay check failed (tail fraction {tail:.3e})")
-    return DiscField(f.grid, f.grid.dbar_apply(f.values))
-
-
-def cauchy_green(f: DiscField) -> DiscField:
-    """Cauchy-Green transform Tf, the right inverse of dbar on the disc."""
-    return DiscField(f.grid, f.grid.cg_apply(f.values))
+def require_finite(samples, what):
+    """ValueError where any sample is NaN or infinite."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{what} must be finite")
 
 
 def require_real(samples, what):
@@ -338,27 +289,27 @@ def require_real(samples, what):
         raise NotReal(f"{what} is not real-valued on the circle")
 
 
-def schwarz(g, grid: DiscGrid | None = None) -> DiscField:
+def schwarz(g, grid: DiscGrid):
     """Holomorphic field whose boundary real part equals the real samples g
     at the angles grid.theta (Schwarz integral): with F = fft(g)/n the series
     F_0 + 2 sum_{0 < k < n/2} F_k zeta^k + F_{n/2} zeta^{n/2}, its free
     additive constant fixed by Im(result(0)) = 0."""
     g = np.asarray(g)
+    require_finite(g, "schwarz input")
     require_real(g, "schwarz input")
     n = len(g)
-    if grid is None:
-        grid = DiscGrid(n, DEFAULT_N_RHO)
     if grid.n_theta != n:
         raise ValueError("grid angular resolution does not match the samples")
     coeffs = np.fft.fft(g)[:n // 2 + 1] / n
     coeffs[1:n // 2] *= 2.0
-    return DiscField.from_taylor(grid, coeffs)
+    return grid.taylor_values(coeffs)
 
 
 def winding_number(samples) -> int:
     """Winding number of a nowhere-zero complex function on the circle,
-    given by its samples."""
+    given by its samples; ValueError where a sample is not finite."""
     samples = np.asarray(samples)
+    require_finite(samples, "circle samples")
     mags = np.abs(samples)
     if mags.min() <= 1e-8:
         raise ZeroOnCircle(f"min |g| = {mags.min():.3e} on circle samples")
@@ -376,6 +327,7 @@ def winding_number(samples) -> int:
 def continuous_argument(samples):
     """Unwrapped argument along circle samples; returns (arg array, winding)."""
     samples = np.asarray(samples)
+    require_finite(samples, "circle samples")
     if np.min(np.abs(samples)) <= 1e-8:
         raise ZeroOnCircle("cannot take argument of a (numerically) vanishing field")
     arg = np.unwrap(np.angle(samples))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bishop import BishopDisc, DEFAULT_N_TAYLOR, PinSet, bishop_solve
-from .calculus import DiscGrid
 from .errors import (
     BlowUp,
     ComplexPointProximity,
@@ -308,7 +307,7 @@ def _lagrange_seed(discs, t) -> BishopDisc:
         h_coeffs=tuple(c + dc for c, dc in zip(last.h_coeffs, step)), t=t)
 
 
-def continue_family(scenario, leaves, t_start, t_stop, grid=None,
+def continue_family(scenario, leaves, t_start, t_stop, grid,
                     n_taylor=DEFAULT_N_TAYLOR, newton_tol=1e-10,
                     grad_cap=1000.0, side="p") -> DiscFamily:
     """March the pinned Bishop family from t_start to t_stop (snapped exactly).
@@ -324,8 +323,6 @@ def continue_family(scenario, leaves, t_start, t_stop, grid=None,
     step mends and ends the branch.
     BlowUp is raised when the disc gradient sup |d_zeta f| exceeds grad_cap.
     """
-    if grid is None:
-        grid = DiscGrid()
     direction = 1.0 if t_stop >= t_start else -1.0
     dt = MAX_DT
     t = float(t_start)

@@ -91,10 +91,6 @@ class AmbientChart:
     psi: Optional[Callable[[np.ndarray], np.ndarray]] = None
     r_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def deformation_at(self, z):
-        """Deformation tensor samples at points z."""
-        return self.A_fn(z)
-
     def J(self, z):
         """Real matrices (..., 4, 4) of J at points z (..., 4).
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import (
-    DiscField,
     DiscGrid,
     continuous_argument,
     require_real,
@@ -47,26 +46,24 @@ class RHProblem:
         mags = np.abs(self.lam)
         if mags.min() < 1e-8:
             raise ValueError("lambda must be nowhere zero on circle samples")
+        # winding_number refuses non-finite samples before any division
+        self.kappa = winding_number(self.lam)
         self.lam = np.asarray(self.lam, dtype=complex) / mags
         require_real(self.g, "RH boundary data g")
         self.g = np.real(self.g)
-        self.kappa = winding_number(self.lam)
 
 
 @dataclass
 class RHSolutionFamily:
-    """Affine solution family: particular plus a real-linear homogeneous basis."""
+    """Affine solution family: the particular solution (R, n_theta) plus a
+    real-linear homogeneous basis (2 kappa + 1, R, n_theta)."""
 
-    particular: DiscField
-    basis: list
+    particular: np.ndarray
+    basis: np.ndarray
     kappa: int
 
-    @property
-    def dimension(self):
-        return len(self.basis)
 
-
-def canonical_function(lam, grid: DiscGrid | None = None) -> DiscField:
+def canonical_function(lam, grid: DiscGrid):
     """Zero-free holomorphic X with conj(lambda) X > 0 on the circle.
 
     Requires winding_number(lam) = 0; X = exp(i Schwarz(sigma)) with sigma a
@@ -75,12 +72,10 @@ def canonical_function(lam, grid: DiscGrid | None = None) -> DiscField:
     sigma, w = continuous_argument(lam)
     if w != 0:
         raise NonzeroIndex(f"canonical function needs index 0, got {w}")
-    if grid is None:
-        grid = DiscGrid(len(lam))
-    return DiscField(grid, np.exp(1j * schwarz(sigma, grid).values))
+    return np.exp(1j * schwarz(sigma, grid))
 
 
-def homogeneous_basis(kappa: int, grid: DiscGrid | None = None) -> list:
+def homogeneous_basis(kappa: int, grid: DiscGrid):
     """Holomorphic fields u with Re(e^{-i kappa theta} u) = 0 on the circle.
 
     Real dimension 2 kappa + 1: {i zeta^kappa} together with
@@ -88,25 +83,20 @@ def homogeneous_basis(kappa: int, grid: DiscGrid | None = None) -> list:
     """
     if kappa < 0:
         raise NegativeIndexUnsupported(f"index {kappa} < 0")
-    if grid is None:
-        grid = DiscGrid()
-    def mono(*pairs):
-        coeffs = np.zeros(2 * kappa + 1, dtype=complex)
-        for k, a in pairs:
-            coeffs[k] += a
-        return DiscField.from_taylor(grid, coeffs)
-    out = [mono((kappa, 1j))]
-    for k in range(kappa):
-        out.append(mono((k, 1.0), (2 * kappa - k, -1.0)))
-        out.append(mono((k, 1j), (2 * kappa - k, 1j)))
-    return out
+    # one row of Taylor coefficients per basis field, in the order above
+    coeffs = np.zeros((2 * kappa + 1, 2 * kappa + 1), dtype=complex)
+    coeffs[0, kappa] = 1j
+    k = np.arange(kappa)
+    coeffs[2 * k + 1, k], coeffs[2 * k + 1, 2 * kappa - k] = 1.0, -1.0
+    coeffs[2 * k + 2, k] = coeffs[2 * k + 2, 2 * kappa - k] = 1j
+    return grid.taylor_values(coeffs)
 
 
 def _split_index(lam, kappa: int, grid: DiscGrid):
     """Factor lambda = e^{i kappa theta} lambda_0; returns X and conj(lam0) X."""
     lam0 = lam * np.exp(-1j * kappa * grid.theta)
     X = canonical_function(lam0, grid)
-    P = np.real(np.conj(lam0) * X.boundary_values)
+    P = np.real(np.conj(lam0) * X[-1])
     return X, P
 
 
@@ -123,15 +113,13 @@ def solve_rh(problem: RHProblem) -> RHSolutionFamily:
     grid = problem.grid
     X, P = _split_index(problem.lam, problem.kappa, grid)
     q = schwarz(problem.g / P, grid)
-    w = DiscField(grid, X.values * grid.zeta ** problem.kappa * q.values)
-    basis = [DiscField(grid, X.values * b_j.values)
-             for b_j in homogeneous_basis(problem.kappa, grid)]
+    w = X * grid.zeta ** problem.kappa * q
+    basis = X * homogeneous_basis(problem.kappa, grid)
 
-    # theta = 0 is the first grid node: the boundary values there are w(1)
-    b0 = basis[0]
-    denom = np.imag(b0.boundary_values[0])
+    # theta = 0 is the first grid node: w[-1, 0] is w(1)
+    denom = np.imag(basis[0, -1, 0])
     if abs(denom) < 1e-10:
         raise NoContraction("ImAtOne normalization is degenerate for this lambda")
-    coef = np.imag(w.boundary_values[0]) / denom
-    w = w - coef * b0.values
+    coef = np.imag(w[-1, 0]) / denom
+    w = w - coef * basis[0]
     return RHSolutionFamily(particular=w, basis=basis, kappa=problem.kappa)

@@ -40,9 +40,7 @@ class PoleInfo:
 
     location: np.ndarray
     model: EllipticPointModel
-    to_adapted: Callable       # ambient real 4-vectors -> adapted
-    from_adapted: Callable
-    gamma: float
+    from_adapted: Callable     # adapted real 4-vectors -> ambient
 
 
 @dataclass
@@ -129,9 +127,8 @@ def _ball_type(name: str, m: int, A_fn=zero_deformation) -> Scenario:
 
     poles = [_ball_pole(chart, m, sign) for sign in (+1, -1)]
     surface = SurfacePatch(
-        rho_pair=rho_pair, rho_grad=rho_grad, gamma=0.0,
-        parametrization=parametrization, area_elements=area_elements,
-        to_uv=_to_uv,
+        rho_pair=rho_pair, rho_grad=rho_grad, parametrization=parametrization,
+        area_elements=area_elements, to_uv=_to_uv,
         poles=np.array([p.location for p in poles]))
     return Scenario(name=name, chart=chart, surface=surface, poles=poles)
 
@@ -140,11 +137,6 @@ def _ball_pole(chart: AmbientChart, m: int, sign: int) -> PoleInfo:
     """Adapted model at the pole (0, sign): w1 = z1, w2 = 2m (1 - sign z2)."""
     location = np.array([0.0, 0.0, float(sign), 0.0])
     scale = 2.0 * m
-
-    def to_adapted(z):
-        z = np.asarray(z, dtype=float)
-        return np.stack([z[..., 0], z[..., 1], scale * (1.0 - sign * z[..., 2]),
-                         -scale * sign * z[..., 3]], axis=-1)
 
     def from_adapted(w):
         w = np.asarray(w, dtype=float)
@@ -166,8 +158,7 @@ def _ball_pole(chart: AmbientChart, m: int, sign: int) -> PoleInfo:
                          -scale * sign * z[..., 3]], axis=-1)
 
     model = EllipticPointModel(gamma=0.0, chart=model_chart, rho=rho_adapted)
-    return PoleInfo(location=location, model=model, to_adapted=to_adapted,
-                    from_adapted=from_adapted, gamma=0.0)
+    return PoleInfo(location=location, model=model, from_adapted=from_adapted)
 
 
 def _perturbation_A(eps: float):
@@ -202,10 +193,9 @@ def _model_quadric(gamma: float) -> Scenario:
         defining_r=lambda z: P(z) - np.asarray(z, float)[..., 2], psi=_psi)
     identity = lambda z: np.asarray(z, dtype=float).copy()
     model = EllipticPointModel(gamma=gamma, chart=chart, rho=rho_pair)
-    pole = PoleInfo(location=np.zeros(4), model=model, to_adapted=identity,
-                    from_adapted=identity, gamma=gamma)
-    surface = SurfacePatch(rho_pair=rho_pair, rho_grad=rho_grad, gamma=gamma,
-                           to_uv=_to_uv, poles=pole.location[None, :])
+    pole = PoleInfo(location=np.zeros(4), model=model, from_adapted=identity)
+    surface = SurfacePatch(rho_pair=rho_pair, rho_grad=rho_grad, to_uv=_to_uv,
+                           poles=pole.location[None, :])
     return Scenario(name="model-quadric", chart=chart, surface=surface,
                     poles=[pole])
 

@@ -6,7 +6,7 @@ import pytest
 from leviflat import bishop as B
 from leviflat import continuation as C
 from leviflat import geometry as G
-from leviflat.calculus import DiscField, DiscGrid
+from leviflat.calculus import DiscGrid
 from leviflat.errors import (
     AdaptationFailure,
     ConfigError,
@@ -216,8 +216,7 @@ class TestPsiOperator:
     def test_roundtrip(self, grid):
         chart = self.chart()
         f = np.stack([
-            DiscField.from_function(grid, lambda z: 0.3 * z + 0.1 * z ** 2).values,
-            DiscField.from_function(grid, lambda z: 0.2 + 0.05 * z).values])
+            0.3 * grid.zeta + 0.1 * grid.zeta ** 2, 0.2 + 0.05 * grid.zeta])
         back, _ = B.psi_inverse_values(chart, grid,
                                        psi_apply_values(chart, grid, f))
         assert np.max(np.abs(back[0] - f[0])) < 1e-11
@@ -225,15 +224,15 @@ class TestPsiOperator:
 
     def test_inverse_gives_j_holomorphic_disc(self, grid):
         chart = self.chart()
-        h = np.stack([DiscField.from_taylor(grid, [0.1, 0.3, 0.05]).values,
-                      DiscField.from_taylor(grid, [0.2, 0.05]).values])
+        h = np.stack([grid.taylor_values([0.1, 0.3, 0.05]),
+                      grid.taylor_values([0.2, 0.05])])
         f, _ = B.psi_inverse_values(chart, grid, h)
         assert B.cr_residual_values(chart, grid, f) < 1e-8
 
     def test_identity_for_standard_structure(self, grid):
         sc = make_scenario("ball")
-        h = np.stack([DiscField.from_taylor(grid, [0.0, 0.5]).values,
-                      DiscField.from_taylor(grid, [0.3]).values])
+        h = np.stack([grid.taylor_values([0.0, 0.5]),
+                      grid.taylor_values([0.3])])
         f, sweeps = B.psi_inverse_values(sc.chart, grid, h)
         assert sweeps == 0
         assert np.max(np.abs(f[0] - h[0])) < 1e-14
@@ -241,18 +240,16 @@ class TestPsiOperator:
 
     def test_no_contraction_for_large_deformation(self, grid):
         chart = self.chart(strength=6.0)
-        h1 = DiscField.from_taylor(grid, [0.0, 1.0])
-        h2 = DiscField.from_taylor(grid, [0.0])   # A is largest near z2 = 0
+        h1 = grid.taylor_values([0.0, 1.0])
+        h2 = grid.taylor_values([0.0])   # A is largest near z2 = 0
         with pytest.raises(NoContraction):
-            B.psi_inverse_values(
-                chart, grid,
-                np.stack([h1.values, h2.values]))
+            B.psi_inverse_values(chart, grid, np.stack([h1, h2]))
 
     def test_batched_consistency(self, grid):
         chart = self.chart()
         h = np.stack([
-            np.stack([DiscField.from_taylor(grid, [0.1 * k, 0.3]).values,
-                      DiscField.from_taylor(grid, [0.2]).values])
+            np.stack([grid.taylor_values([0.1 * k, 0.3]),
+                      grid.taylor_values([0.2])])
             for k in range(3)])
         batch, _ = B.psi_inverse_values(chart, grid, h)
         for k in range(3):
@@ -264,8 +261,8 @@ class TestPsiOperator:
         chart = self.chart()
 
         def h_vals(c):
-            return np.stack([DiscField.from_taylor(grid, [0.1, c, 0.05]).values,
-                             DiscField.from_taylor(grid, [0.2, 0.05]).values])
+            return np.stack([grid.taylor_values([0.1, c, 0.05]),
+                             grid.taylor_values([0.2, 0.05])])
 
         near, h = h_vals(0.3), h_vals(0.31)
         f_near, _ = B.psi_inverse_values(chart, grid, near)
@@ -284,14 +281,14 @@ def psi_apply_values(chart, grid, vals):
 def full_psi_rhs(chart, grid, vals):
     """The Psi sweep with no shortcut, as a reference for the fast path."""
     dbar_conj = np.conj(grid.dz_apply(vals))
-    A = chart.deformation_at(G.to_real(np.moveaxis(vals, -3, -1)))
+    A = chart.A_fn(G.to_real(np.moveaxis(vals, -3, -1)))
     q = np.einsum("...ij,...j->...i", A, np.moveaxis(dbar_conj, -3, -1))
     return grid.cg_apply(np.moveaxis(q, -1, -3))
 
 
 def full_cr_residual(chart, grid, vals):
     dbar_conj = np.conj(grid.dz_apply(vals))
-    A = chart.deformation_at(G.to_real(np.moveaxis(vals, -3, -1)))
+    A = chart.A_fn(G.to_real(np.moveaxis(vals, -3, -1)))
     q = np.einsum("...ij,...j->...i", A, np.moveaxis(dbar_conj, -3, -1))
     return float(np.max(np.abs(grid.dbar_apply(vals)
                                + np.moveaxis(q, -1, -3))))
@@ -301,8 +298,8 @@ class TestZeroDeformationFastPath:
     """Where A = 0 Psi is skipped; the results match the full sweep exactly."""
 
     def h_vals(self, grid):
-        return np.stack([DiscField.from_taylor(grid, [0.1, 0.5, 0.2j]).values,
-                         DiscField.from_taylor(grid, [0.3, 0.05]).values])
+        return np.stack([grid.taylor_values([0.1, 0.5, 0.2j]),
+                         grid.taylor_values([0.3, 0.05])])
 
     def test_psi_skips_the_sweep(self, grid, monkeypatch):
         chart = make_scenario("ball").chart

@@ -59,7 +59,7 @@ class TestStructures:
         J = chart.J(pts)
         assert J.shape == (6, 3, 4, 4)
         assert np.array_equal(J, np.broadcast_to(G.J_ST, J.shape))
-        assert not chart.deformation_at(pts).any()
+        assert not chart.A_fn(pts).any()
 
     def test_antilinear_to_real(self):
         rng = np.random.default_rng(2)
